@@ -32,19 +32,13 @@ struct Tally {
 };
 
 protocol::DelphiParams params_for(double delta_max) {
-  protocol::DelphiParams p;
-  p.space_min = 0.0;
-  p.space_max = 200'000.0;
-  p.rho0 = 2.0;
-  p.eps = 2.0;
+  auto p = protocol::DelphiParams::oracle_network();
   p.delta_max = delta_max;
   return p;
 }
 
-void run_minute(Tally& t, const protocol::DelphiParams& p, std::size_t n,
-                std::uint64_t seed, double center, double delta) {
-  const auto inputs = clustered_inputs(n, center, delta, seed);
-  const auto r = run_delphi(Testbed::kAws, n, seed, p, inputs);
+void tally_minute(Tally& t, const protocol::DelphiParams& p, std::size_t n,
+                  const Result& r) {
   ++t.minutes;
   if (!r.ok || r.outputs.empty()) {
     ++t.violations;
@@ -53,12 +47,7 @@ void run_minute(Tally& t, const protocol::DelphiParams& p, std::size_t n,
   const auto [mn, mx] = std::minmax_element(r.outputs.begin(), r.outputs.end());
   if (*mx - *mn > p.eps + 1e-9) ++t.violations;
   t.total_ms += r.runtime_ms;
-  protocol::DelphiProtocol::Config c;
-  c.n = n;
-  c.t = max_faults(n);
-  c.params = p;
-  const protocol::DelphiProtocol probe(c, center);
-  t.total_rmax += probe.r_max();
+  t.total_rmax += p.r_max(n);
   t.total_levels += p.num_levels();
 }
 
@@ -94,6 +83,15 @@ int main(int argc, char** argv) {
   adaptive::RangeEstimator estimator(opt);
 
   Tally t_tight, t_safe, t_adaptive;
+  // One simulated minute of one config: its tally and params, and its spec.
+  std::vector<std::pair<Tally*, protocol::DelphiParams>> runs;
+  std::vector<scenario::ScenarioSpec> specs;
+  const auto add = [&](Tally& t, const protocol::DelphiParams& p,
+                       std::uint64_t seed, double center, double delta) {
+    runs.emplace_back(&t, p);
+    specs.push_back(delphi_spec(Testbed::kAws, n, seed, p,
+                                clustered_inputs(n, center, delta, seed)));
+  };
   Rng rng(2026);
   double mid = 40'000.0;
   for (std::size_t m = 0; m < minutes; ++m) {
@@ -105,12 +103,15 @@ int main(int argc, char** argv) {
     mid += rng.uniform(-15.0, 15.0);
     const std::uint64_t seed = 100 + m;
 
-    run_minute(t_tight, tight, n, seed, mid, delta);
-    run_minute(t_safe, safe, n, seed, mid, delta);
-    const auto adaptive_params =
-        estimator.make_params(0.0, 200'000.0, 2.0, 2.0);
-    run_minute(t_adaptive, adaptive_params, n, seed, mid, delta);
+    add(t_tight, tight, seed, mid, delta);
+    add(t_safe, safe, seed, mid, delta);
+    add(t_adaptive, estimator.make_params(0.0, 200'000.0, 2.0, 2.0), seed,
+        mid, delta);
     estimator.observe(delta);  // the estimator sees δ after the round
+  }
+  const auto results = run_specs(specs);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    tally_minute(*runs[i].first, runs[i].second, n, results[i]);
   }
 
   const std::vector<int> w = {26, 12, 14, 12, 10};

@@ -31,12 +31,8 @@ protocol::DelphiParams cps_params() {
 }
 
 protocol::DelphiParams aws_params() {
-  protocol::DelphiParams p;
-  p.space_min = 0.0;
-  p.space_max = 200'000.0;
+  auto p = protocol::DelphiParams::oracle_network();
   p.rho0 = 10.0;
-  p.eps = 2.0;
-  p.delta_max = 2000.0;
   return p;
 }
 
@@ -62,22 +58,31 @@ int main(int argc, char** argv) {
     const double center = tb == Testbed::kAws ? 40'000.0 : 1000.0;
     const auto inputs = clustered_inputs(n, center, delta, 23);
 
-    std::printf("-- %s testbed, n = %zu --\n", tb_name, n);
-    print_row({"testbed", "config", "runtime_ms", "vs free"}, w);
-
-    double free_ms = 0.0;
+    // One FIN run per pairing cost, then the coin-free Delphi reference.
+    std::vector<scenario::ScenarioSpec> specs;
     for (double us : pairing_us) {
       const auto cost = static_cast<SimTime>(
           us * (static_cast<double>(n) / 3.0 + 1.0));
-      const auto f = run_fin(tb, n, 31, inputs, cost);
+      specs.push_back(fin_spec(tb, n, 31, inputs, cost));
+    }
+    specs.push_back(delphi_spec(tb, n, 37, params, inputs));
+    const auto results = run_specs(specs);
+
+    std::printf("-- %s testbed, n = %zu --\n", tb_name, n);
+    print_row({"testbed", "config", "runtime_ms", "vs free"}, w);
+    double free_ms = 0.0;
+    for (std::size_t k = 0; k < pairing_us.size(); ++k) {
+      const double us = pairing_us[k];
+      const auto& f = results[k];
       if (us == 0.0) free_ms = f.runtime_ms;
       print_row({tb_name, "FIN, pairing = " + fmt(us / 1000.0, 2) + " ms",
                  fmt(f.runtime_ms, 0),
                  fmt(f.runtime_ms / free_ms, 2) + "x"},
                 w);
     }
-    const auto d = run_delphi(tb, n, 37, params, inputs);
-    print_row({tb_name, "Delphi (no coin)", fmt(d.runtime_ms, 0), "-"}, w);
+    print_row({tb_name, "Delphi (no coin)", fmt(results.back().runtime_ms, 0),
+               "-"},
+              w);
     std::printf("\n");
   }
 

@@ -20,75 +20,60 @@
 using namespace delphi;
 using namespace delphi::bench;
 
-namespace {
-
-protocol::DelphiParams oracle_params() {
-  protocol::DelphiParams p;
-  p.space_min = 0.0;
-  p.space_max = 200'000.0;
-  p.rho0 = 10.0;
-  p.eps = 2.0;
-  p.delta_max = 2000.0;
-  return p;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
   print_title("Ablation — resilience vs communication vs validity",
               "Dolev (5t+1) / Abraham (3t+1) / Delphi (3t+1, relaxed "
               "validity) on the AWS testbed, delta = 20$ oracle workload.");
 
-  const auto params = oracle_params();
+  auto params = protocol::DelphiParams::oracle_network();
+  params.rho0 = 10.0;
   const std::vector<int> w = {6, 6, 24, 14, 12, 10};
+  const std::vector<std::size_t> budgets =
+      quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 3, 5};
+
+  // One spec batch: section (a) per budget t — Dolev at n = 5t+1, Abraham
+  // and Delphi at n = 3t+1 — then section (b) at n = 16.
+  std::vector<scenario::ScenarioSpec> specs;
+  const auto add = [&](std::size_t n5, std::size_t n3, std::uint64_t seed,
+                       const std::vector<double>& in5,
+                       const std::vector<double>& in3) {
+    specs.push_back(dolev_spec(Testbed::kAws, n5, seed, /*rounds=*/10, 0.0,
+                               200'000.0, in5));
+    specs.push_back(abraham_spec(Testbed::kAws, n3, seed + 1, /*rounds=*/10,
+                                 0.0, 200'000.0, in3));
+    specs.push_back(delphi_spec(Testbed::kAws, n3, seed + 2, params, in3));
+  };
+  for (std::size_t t : budgets) {
+    add(5 * t + 1, 3 * t + 1, 1,
+        clustered_inputs(5 * t + 1, 40'000.0, 20.0, 11 + t),
+        clustered_inputs(3 * t + 1, 40'000.0, 20.0, 13 + t));
+  }
+  const auto in16 = clustered_inputs(16, 40'000.0, 20.0, 17);
+  add(16, 16, 4, in16, in16);
+  const auto results = run_specs(specs);
+
+  const char* names[] = {"Dolev et al.", "Abraham et al.", "Delphi"};
+  const char* validity[] = {"[m, M]", "[m, M]", "relaxed"};
+  const auto rows = [&](std::size_t first, const std::vector<std::string>& ts) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      const auto& r = results[first + k];
+      print_row({ts[k], std::to_string(specs[first + k].n), names[k],
+                 fmt(r.runtime_ms, 0), fmt(r.megabytes, 3), validity[k]},
+                w);
+    }
+  };
 
   std::printf("(a) matched fault budget t — each protocol at its minimum n\n");
   print_row({"t", "n", "protocol", "runtime_ms", "MB", "validity"}, w);
-  const std::vector<std::size_t> budgets =
-      quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 3, 5};
-  for (std::size_t t : budgets) {
-    const std::size_t n5 = 5 * t + 1;
-    const std::size_t n3 = 3 * t + 1;
-    const auto in5 = clustered_inputs(n5, 40'000.0, 20.0, 11 + t);
-    const auto in3 = clustered_inputs(n3, 40'000.0, 20.0, 13 + t);
-
-    const auto d = run_dolev(Testbed::kAws, n5, 1, /*rounds=*/10, 0.0,
-                             200'000.0, in5);
-    print_row({std::to_string(t), std::to_string(n5), "Dolev et al.",
-               fmt(d.runtime_ms, 0), fmt(d.megabytes, 3), "[m, M]"},
-              w);
-    const auto a = run_abraham(Testbed::kAws, n3, 2, /*rounds=*/10, 0.0,
-                               200'000.0, in3);
-    print_row({std::to_string(t), std::to_string(n3), "Abraham et al.",
-               fmt(a.runtime_ms, 0), fmt(a.megabytes, 3), "[m, M]"},
-              w);
-    const auto dp = run_delphi(Testbed::kAws, n3, 3, params, in3);
-    print_row({std::to_string(t), std::to_string(n3), "Delphi",
-               fmt(dp.runtime_ms, 0), fmt(dp.megabytes, 3), "relaxed"},
-              w);
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    const auto t = std::to_string(budgets[i]);
+    rows(3 * i, {t, t, t});
   }
 
   std::printf("\n(b) matched system size n = 16 — fault budget differs\n");
   print_row({"t", "n", "protocol", "runtime_ms", "MB", "validity"}, w);
-  {
-    const std::size_t n = 16;
-    const auto in = clustered_inputs(n, 40'000.0, 20.0, 17);
-    const auto d = run_dolev(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
-                             200'000.0, in);
-    print_row({"3", std::to_string(n), "Dolev et al.", fmt(d.runtime_ms, 0),
-               fmt(d.megabytes, 3), "[m, M]"},
-              w);
-    const auto a = run_abraham(Testbed::kAws, n, 5, /*rounds=*/10, 0.0,
-                               200'000.0, in);
-    print_row({"5", std::to_string(n), "Abraham et al.", fmt(a.runtime_ms, 0),
-               fmt(a.megabytes, 3), "[m, M]"},
-              w);
-    const auto dp = run_delphi(Testbed::kAws, n, 6, params, in);
-    print_row({"5", std::to_string(n), "Delphi", fmt(dp.runtime_ms, 0),
-               fmt(dp.megabytes, 3), "relaxed"},
-              w);
-  }
+  rows(3 * budgets.size(), {"3", "5", "5"});
 
   std::printf(
       "\nexpected shape: Dolev is the traffic floor throughout but needs\n"

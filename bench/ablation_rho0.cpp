@@ -29,17 +29,21 @@ int main(int argc, char** argv) {
   const auto inputs = clustered_inputs(n, 40'000.0, 20.0, 77);
   const auto s = stats::summarize(inputs);
 
+  std::vector<protocol::DelphiParams> params;
+  std::vector<scenario::ScenarioSpec> specs;
   for (double rho0 : {2.0, 10.0, 50.0, 250.0, 2000.0}) {
-    protocol::DelphiParams p;
-    p.space_min = 0.0;
-    p.space_max = 200'000.0;
+    auto& p = params.emplace_back(protocol::DelphiParams::oracle_network());
     p.rho0 = rho0;
-    p.eps = 2.0;
-    p.delta_max = 2000.0;
-    const auto r = run_delphi(Testbed::kAws, n, 5, p, inputs);
+    specs.push_back(delphi_spec(Testbed::kAws, n, 5, p, inputs));
+  }
+  const auto results = run_specs(specs);
+
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    const auto& p = params[k];
+    const auto& r = results[k];
     const double dist =
         r.outputs.empty() ? -1.0 : std::fabs(r.outputs.front() - s.mean);
-    print_row({fmt(rho0, 0), std::to_string(p.num_levels()),
+    print_row({fmt(p.rho0, 0), std::to_string(p.num_levels()),
                std::to_string(p.r_max(n)), fmt(r.megabytes, 2),
                fmt(r.runtime_ms, 0), fmt(dist, 2) + "$"},
               w);

@@ -4,38 +4,9 @@
 #include <cstring>
 #include <sstream>
 
-#include "scenario/registry.hpp"
 #include "scenario/sweep.hpp"
 
 namespace delphi::bench {
-
-scenario::TestbedKind to_scenario(Testbed tb) noexcept {
-  return tb == Testbed::kAws ? scenario::TestbedKind::kAws
-                             : scenario::TestbedKind::kCps;
-}
-
-sim::SimConfig testbed_config(Testbed tb, std::size_t n, std::uint64_t seed) {
-  return scenario::testbed_config(to_scenario(tb), n, seed);
-}
-
-SimTime default_coin_cost(Testbed tb, std::size_t n) {
-  return scenario::default_coin_cost(to_scenario(tb), n);
-}
-
-std::vector<double> clustered_inputs(std::size_t n, double center,
-                                     double delta, std::uint64_t seed) {
-  return scenario::clustered_inputs(n, center, delta, seed);
-}
-
-Result from_report(const scenario::RunReport& rep) {
-  Result r;
-  r.ok = rep.ok;
-  r.runtime_ms = rep.runtime_ms;
-  r.megabytes = rep.megabytes();
-  r.messages = rep.honest_msgs;
-  r.outputs = rep.outputs;
-  return r;
-}
 
 namespace {
 /// Common spec scaffold: sim substrate, explicit inputs (the benches control
@@ -46,7 +17,7 @@ scenario::ScenarioSpec base_spec(const char* protocol, Testbed tb,
   scenario::ScenarioSpec spec;
   spec.protocol = protocol;
   spec.substrate = scenario::Substrate::kSim;
-  spec.testbed = to_scenario(tb);
+  spec.testbed = tb;
   spec.n = n;
   spec.seed = seed;
   spec.inputs = inputs;
@@ -104,7 +75,10 @@ std::vector<Result> run_specs(const std::vector<scenario::ScenarioSpec>& specs,
   const auto reports = scenario::SweepRunner(jobs).run(specs);
   std::vector<Result> out;
   out.reserve(reports.size());
-  for (const auto& rep : reports) out.push_back(from_report(rep));
+  for (const auto& rep : reports) {
+    out.push_back({rep.ok, rep.runtime_ms, rep.megabytes(), rep.honest_msgs,
+                   rep.outputs});
+  }
   return out;
 }
 
@@ -138,33 +112,6 @@ std::vector<FaultCase> fault_axis(const scenario::ScenarioSpec& base) {
   add("random-delay(50ms)", "random-delay:50000", "none", 0);
   add("burst(20ms)", "burst:20000", "none", 0);
   return axis;
-}
-
-Result run_delphi(Testbed tb, std::size_t n, std::uint64_t seed,
-                  const protocol::DelphiParams& params,
-                  const std::vector<double>& inputs) {
-  return from_report(
-      scenario::SimRuntime().run(delphi_spec(tb, n, seed, params, inputs)));
-}
-
-Result run_abraham(Testbed tb, std::size_t n, std::uint64_t seed,
-                   std::uint32_t rounds, double space_min, double space_max,
-                   const std::vector<double>& inputs) {
-  return from_report(scenario::SimRuntime().run(
-      abraham_spec(tb, n, seed, rounds, space_min, space_max, inputs)));
-}
-
-Result run_fin(Testbed tb, std::size_t n, std::uint64_t seed,
-               const std::vector<double>& inputs, SimTime coin_cost_us) {
-  return from_report(
-      scenario::SimRuntime().run(fin_spec(tb, n, seed, inputs, coin_cost_us)));
-}
-
-Result run_dolev(Testbed tb, std::size_t n, std::uint64_t seed,
-                 std::uint32_t rounds, double space_min, double space_max,
-                 const std::vector<double>& inputs) {
-  return from_report(scenario::SimRuntime().run(
-      dolev_spec(tb, n, seed, rounds, space_min, space_max, inputs)));
 }
 
 bool quick_mode(int argc, char** argv) {

@@ -1,7 +1,7 @@
 #pragma once
 /// Shared infrastructure for the experiment benches: testbed configurations
 /// (AWS-geo / CPS, matching §VI-C), controlled-range workload generators,
-/// one-call protocol runners, and table printing.
+/// scenario-spec builders with a batch runner, and table printing.
 ///
 /// Every bench binary regenerates one table/figure of the paper; see
 /// DESIGN.md §3 for the index and EXPERIMENTS.md for paper-vs-measured notes.
@@ -10,36 +10,23 @@
 #include <string>
 #include <vector>
 
-#include "abraham/abraham.hpp"
-#include "acs/acs.hpp"
 #include "delphi/delphi.hpp"
-#include "dolev/dolev.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runtime.hpp"
 #include "scenario/spec.hpp"
 #include "sim/harness.hpp"
 
 namespace delphi::bench {
 
-/// Which simulated testbed to run on (§VI-C).
-enum class Testbed { kAws, kCps };
+/// Which simulated testbed to run on (§VI-C; the benches use kAws / kCps).
+using Testbed = scenario::TestbedKind;
 
-/// Map to the scenario layer's testbed kind (the construction point).
-scenario::TestbedKind to_scenario(Testbed tb) noexcept;
-
-/// Simulation config for a testbed: latency model + cost model.
-sim::SimConfig testbed_config(Testbed tb, std::size_t n, std::uint64_t seed);
-
-/// Default CPU charge per threshold-coin toss, per testbed — the stand-in
-/// for the O(n) pairing bill of a real common coin (DESIGN.md). Pairings run
-/// ~1 ms on a Pi-class core and ~0.25 ms on t2.micro-class cores; a Cachin
-/// coin verifies a quorum of shares.
-SimTime default_coin_cost(Testbed tb, std::size_t n);
-
-/// Honest inputs clustered with *realized range exactly delta* around
-/// `center` (endpoints pinned, the rest uniform inside) — this is how the
-/// paper's "Delphi delta = 20$ / 180$" curves are driven.
-std::vector<double> clustered_inputs(std::size_t n, double center,
-                                     double delta, std::uint64_t seed);
+// Testbed simulation configs, per-testbed coin costs, and the clustered
+// workloads with realized range exactly delta that drive the paper's
+// "Delphi delta = 20$ / 180$" curves all come from the scenario layer.
+using scenario::clustered_inputs;
+using scenario::default_coin_cost;
+using scenario::testbed_config;
 
 /// Result of one protocol run.
 struct Result {
@@ -50,12 +37,8 @@ struct Result {
   std::vector<double> outputs;
 };
 
-/// Project a scenario RunReport onto the bench result shape.
-Result from_report(const scenario::RunReport& rep);
-
-/// ScenarioSpec builders mirroring the one-call runners below — use these
-/// to batch independent runs through scenario::SweepRunner (multi-core
-/// sweeps) while producing numbers identical to the serial runners.
+/// ScenarioSpec builders for the paper's protocols on a simulated testbed;
+/// run them with run_specs.
 scenario::ScenarioSpec delphi_spec(Testbed tb, std::size_t n,
                                    std::uint64_t seed,
                                    const protocol::DelphiParams& params,
@@ -64,17 +47,20 @@ scenario::ScenarioSpec abraham_spec(Testbed tb, std::size_t n,
                                     std::uint64_t seed, std::uint32_t rounds,
                                     double space_min, double space_max,
                                     const std::vector<double>& inputs);
+/// FIN-style ACS: coin cost defaulted per testbed; pass `coin_cost_us >= 0`
+/// to override.
 scenario::ScenarioSpec fin_spec(Testbed tb, std::size_t n, std::uint64_t seed,
                                 const std::vector<double>& inputs,
                                 SimTime coin_cost_us = -1);
+/// Dolev et al. (JACM '86) multicast AA; tolerates t = (n-1)/5 faults.
 scenario::ScenarioSpec dolev_spec(Testbed tb, std::size_t n,
                                   std::uint64_t seed, std::uint32_t rounds,
                                   double space_min, double space_max,
                                   const std::vector<double>& inputs);
 
-/// Run a batch of specs across `jobs` worker threads (0 = all cores) and
-/// project each report; results are in spec order and bit-identical to
-/// running the specs one by one.
+/// Run a batch of specs through scenario::SweepRunner across `jobs` worker
+/// threads (0 = all cores) and project each report; results are in spec
+/// order and bit-identical to running the specs one by one.
 std::vector<Result> run_specs(const std::vector<scenario::ScenarioSpec>& specs,
                               unsigned jobs = 0);
 
@@ -91,28 +77,6 @@ struct FaultCase {
 /// into run_specs / SweepRunner — a fault dimension for any protocol × n
 /// grid (bench_fault_sweep is the canonical consumer).
 std::vector<FaultCase> fault_axis(const scenario::ScenarioSpec& base);
-
-/// Run Delphi on a testbed.
-Result run_delphi(Testbed tb, std::size_t n, std::uint64_t seed,
-                  const protocol::DelphiParams& params,
-                  const std::vector<double>& inputs);
-
-/// Run the Abraham et al. baseline.
-Result run_abraham(Testbed tb, std::size_t n, std::uint64_t seed,
-                   std::uint32_t rounds, double space_min, double space_max,
-                   const std::vector<double>& inputs);
-
-/// Run the FIN-style ACS baseline (coin cost defaulted per testbed; pass
-/// `coin_cost_us >= 0` to override).
-Result run_fin(Testbed tb, std::size_t n, std::uint64_t seed,
-               const std::vector<double>& inputs,
-               SimTime coin_cost_us = -1);
-
-/// Run the Dolev et al. (JACM '86) multicast AA baseline; tolerates
-/// t = (n-1)/5 faults.
-Result run_dolev(Testbed tb, std::size_t n, std::uint64_t seed,
-                 std::uint32_t rounds, double space_min, double space_max,
-                 const std::vector<double>& inputs);
 
 /// --quick on the command line trims sweeps for CI-speed runs.
 bool quick_mode(int argc, char** argv);

@@ -23,12 +23,8 @@ int main(int argc, char** argv) {
               "milliseconds of simulated time (see EXPERIMENTS.md for the "
               "testbed model).");
 
-  protocol::DelphiParams params;
-  params.space_min = 0.0;
-  params.space_max = 200'000.0;
+  auto params = protocol::DelphiParams::oracle_network();
   params.rho0 = 10.0;
-  params.eps = 2.0;
-  params.delta_max = 2000.0;
 
   const std::vector<std::size_t> sizes =
       quick ? std::vector<std::size_t>{16, 64}
@@ -37,32 +33,31 @@ int main(int argc, char** argv) {
   const std::vector<int> w = {8, 22, 14, 12, 12};
   print_row({"n", "protocol", "runtime_ms", "MB", "ok"}, w);
 
+  std::vector<scenario::ScenarioSpec> specs;
   for (std::size_t n : sizes) {
     const auto in20 = clustered_inputs(n, 40'000.0, 20.0, 7 + n);
     const auto in180 = clustered_inputs(n, 40'000.0, 180.0, 9 + n);
+    specs.push_back(delphi_spec(Testbed::kAws, n, 1, params, in20));
+    specs.push_back(delphi_spec(Testbed::kAws, n, 2, params, in180));
+    specs.push_back(fin_spec(Testbed::kAws, n, 3, in20));
+    specs.push_back(abraham_spec(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
+                                 200'000.0, in20));
+  }
+  const auto results = run_specs(specs);
 
-    const auto d20 = run_delphi(Testbed::kAws, n, 1, params, in20);
-    print_row({std::to_string(n), "Delphi delta=20$", fmt(d20.runtime_ms, 0),
-               fmt(d20.megabytes, 2), d20.ok ? "y" : "N"},
-              w);
-    const auto d180 = run_delphi(Testbed::kAws, n, 2, params, in180);
-    print_row({std::to_string(n), "Delphi delta=180$",
-               fmt(d180.runtime_ms, 0), fmt(d180.megabytes, 2),
-               d180.ok ? "y" : "N"},
-              w);
-    const auto f = run_fin(Testbed::kAws, n, 3, in20);
-    print_row({std::to_string(n), "FIN", fmt(f.runtime_ms, 0),
-               fmt(f.megabytes, 2), f.ok ? "y" : "N"},
-              w);
-    const auto a = run_abraham(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
-                               200'000.0, in20);
-    print_row({std::to_string(n), "Abraham et al. d=20$",
-               fmt(a.runtime_ms, 0), fmt(a.megabytes, 2), a.ok ? "y" : "N"},
-              w);
+  const char* names[] = {"Delphi delta=20$", "Delphi delta=180$", "FIN",
+                         "Abraham et al. d=20$"};
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const auto* r = &results[4 * i];
+    for (std::size_t k = 0; k < 4; ++k) {
+      print_row({std::to_string(sizes[i]), names[k], fmt(r[k].runtime_ms, 0),
+                 fmt(r[k].megabytes, 2), r[k].ok ? "y" : "N"},
+                w);
+    }
     std::printf("  speedup at n=%zu: FIN/Delphi = %.2fx, Abraham/Delphi = "
                 "%.2fx\n",
-                n, f.runtime_ms / d20.runtime_ms,
-                a.runtime_ms / d20.runtime_ms);
+                sizes[i], r[2].runtime_ms / r[0].runtime_ms,
+                r[3].runtime_ms / r[0].runtime_ms);
   }
   std::printf(
       "\npaper shape: Delphi slower at n = 16, ~3x faster than FIN and ~6x "

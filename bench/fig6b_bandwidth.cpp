@@ -18,12 +18,7 @@ int main(int argc, char** argv) {
               "Delphi config rho0 = eps = 2$, Delta = 2000$; honest traffic "
               "in MB per agreement.");
 
-  protocol::DelphiParams params;
-  params.space_min = 0.0;
-  params.space_max = 200'000.0;
-  params.rho0 = 2.0;
-  params.eps = 2.0;
-  params.delta_max = 2000.0;
+  const auto params = protocol::DelphiParams::oracle_network();
 
   const std::vector<std::size_t> sizes =
       quick ? std::vector<std::size_t>{16, 40}
@@ -32,19 +27,24 @@ int main(int argc, char** argv) {
   const std::vector<int> w = {8, 14, 16, 14, 18};
   print_row({"n", "Delphi d=20", "Delphi d=180", "FIN", "Abraham d=20"}, w);
 
+  std::vector<scenario::ScenarioSpec> specs;
   for (std::size_t n : sizes) {
     const auto in20 = clustered_inputs(n, 40'000.0, 20.0, 7 + n);
     const auto in180 = clustered_inputs(n, 40'000.0, 180.0, 9 + n);
-    const auto d20 = run_delphi(Testbed::kAws, n, 1, params, in20);
-    const auto d180 = run_delphi(Testbed::kAws, n, 2, params, in180);
+    specs.push_back(delphi_spec(Testbed::kAws, n, 1, params, in20));
+    specs.push_back(delphi_spec(Testbed::kAws, n, 2, params, in180));
     // The baselines' traffic is delta-independent (RBC everything), so one
     // delta suffices — matching the paper's single FIN curve.
-    const auto f = run_fin(Testbed::kAws, n, 3, in20);
-    const auto a = run_abraham(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
-                               200'000.0, in20);
-    print_row({std::to_string(n), fmt(d20.megabytes, 2),
-               fmt(d180.megabytes, 2), fmt(f.megabytes, 2),
-               fmt(a.megabytes, 2)},
+    specs.push_back(fin_spec(Testbed::kAws, n, 3, in20));
+    specs.push_back(abraham_spec(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
+                                 200'000.0, in20));
+  }
+  const auto results = run_specs(specs);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const auto* r = &results[4 * i];
+    print_row({std::to_string(sizes[i]), fmt(r[0].megabytes, 2),
+               fmt(r[1].megabytes, 2), fmt(r[2].megabytes, 2),
+               fmt(r[3].megabytes, 2)},
               w);
   }
   std::printf(

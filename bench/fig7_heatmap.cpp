@@ -21,9 +21,10 @@ using namespace delphi::bench;
 
 namespace {
 
-/// One heatmap cell: runtime of Delphi with Delta/eps = ar, delta/rho0 = rr.
-double cell_ms(Testbed tb, std::size_t n, double delta_max, double agreement,
-               double range_ratio, std::uint64_t seed) {
+/// One heatmap cell: Delphi with Delta/eps = ar, delta/rho0 = rr.
+scenario::ScenarioSpec cell_spec(Testbed tb, std::size_t n, double delta_max,
+                                 double agreement, double range_ratio,
+                                 std::uint64_t seed) {
   protocol::DelphiParams p;
   p.delta_max = delta_max;
   p.eps = delta_max / agreement;
@@ -34,13 +35,20 @@ double cell_ms(Testbed tb, std::size_t n, double delta_max, double agreement,
   p.space_max = 64.0 * delta_max;
   const auto inputs =
       clustered_inputs(n, 8.0 * delta_max, realized_delta, seed);
-  const auto r = run_delphi(tb, n, seed, p, inputs);
-  return r.ok ? r.runtime_ms : -1.0;
+  return delphi_spec(tb, n, seed, p, inputs);
 }
 
 void heatmap(Testbed tb, std::size_t n, double delta_max,
              const std::vector<double>& agreement_ratios,
              const std::vector<double>& range_ratios) {
+  std::vector<scenario::ScenarioSpec> specs;
+  for (double ar : agreement_ratios) {
+    for (double rr : range_ratios) {
+      specs.push_back(cell_spec(tb, n, delta_max, ar, rr, 17));
+    }
+  }
+  const auto results = run_specs(specs);
+  auto cell = results.begin();
   std::printf("%s, n = %zu (runtime in seconds)\n",
               tb == Testbed::kAws ? "AWS" : "CPS", n);
   std::printf("%14s", "A-ratio \\ R-ratio");
@@ -48,9 +56,8 @@ void heatmap(Testbed tb, std::size_t n, double delta_max,
   std::printf("\n");
   for (double ar : agreement_ratios) {
     std::printf("%14.0f    ", ar);
-    for (double rr : range_ratios) {
-      const double ms = cell_ms(tb, n, delta_max, ar, rr, 17);
-      std::printf("%10.2f", ms / 1000.0);
+    for (std::size_t k = 0; k < range_ratios.size(); ++k, ++cell) {
+      std::printf("%10.2f", (cell->ok ? cell->runtime_ms : -1.0) / 1000.0);
     }
     std::printf("\n");
   }

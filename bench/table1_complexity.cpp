@@ -22,12 +22,7 @@ int main(int argc, char** argv) {
               "log2(Delta/eps) = 10; FIN-style ACS with simulated threshold "
               "coin.\nBits are honest-node totals for one agreement.");
 
-  protocol::DelphiParams params;
-  params.space_min = 0.0;
-  params.space_max = 200'000.0;
-  params.rho0 = 2.0;
-  params.eps = 2.0;
-  params.delta_max = 2000.0;
+  const auto params = protocol::DelphiParams::oracle_network();
 
   const std::vector<std::size_t> sizes =
       quick ? std::vector<std::size_t>{10, 16, 28}
@@ -42,12 +37,18 @@ int main(int argc, char** argv) {
   };
   std::vector<Point> points;
 
+  std::vector<scenario::ScenarioSpec> specs;
   for (std::size_t n : sizes) {
     const auto inputs = clustered_inputs(n, 40'000.0, 8.0, 42 + n);
-    const auto d = run_delphi(Testbed::kAws, n, 1, params, inputs);
-    const auto a = run_abraham(Testbed::kAws, n, 2, 10, 0.0, 200'000.0,
-                               inputs);
-    const auto f = run_fin(Testbed::kAws, n, 3, inputs);
+    specs.push_back(delphi_spec(Testbed::kAws, n, 1, params, inputs));
+    specs.push_back(abraham_spec(Testbed::kAws, n, 2, 10, 0.0, 200'000.0,
+                                 inputs));
+    specs.push_back(fin_spec(Testbed::kAws, n, 3, inputs));
+  }
+  const auto results = run_specs(specs);
+
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const std::size_t n = sizes[i];
     const double n2 = static_cast<double>(n) * n;
     const double n3 = n2 * n;
     const auto row = [&](const char* name, const Result& r) {
@@ -59,9 +60,9 @@ int main(int argc, char** argv) {
       return bits;
     };
     Point p{n, 0, 0, 0};
-    p.delphi_bits = row("Delphi", d);
-    p.abraham_bits = row("Abraham et al.", a);
-    p.fin_bits = row("FIN (ACS)", f);
+    p.delphi_bits = row("Delphi", results[3 * i]);
+    p.abraham_bits = row("Abraham et al.", results[3 * i + 1]);
+    p.fin_bits = row("FIN (ACS)", results[3 * i + 2]);
     points.push_back(p);
   }
 

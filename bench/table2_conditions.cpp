@@ -39,24 +39,32 @@ int main(int argc, char** argv) {
         {"Delta=O(f(n)e), delta=O(Delta)", fn * eps, fn * eps / 2.0},
     };
 
-    const std::vector<int> w = {34, 8, 10, 16, 14};
-    std::printf("n = %zu\n", n);
-    print_row({"condition", "rounds", "levels", "bits", "bits/n^2"}, w);
+    std::vector<protocol::DelphiParams> params;
+    std::vector<scenario::ScenarioSpec> specs;
     for (const auto& c : conditions) {
-      protocol::DelphiParams p;
+      protocol::DelphiParams& p = params.emplace_back();
       p.space_min = 0.0;
       p.space_max = 10'000.0;
       p.rho0 = eps;
       p.eps = eps;
       p.delta_max = c.delta_max;
       const auto inputs = clustered_inputs(n, 5'000.0, c.delta, 3 + n);
-      const auto r = run_delphi(Testbed::kAws, n, 5, p, inputs);
+      specs.push_back(delphi_spec(Testbed::kAws, n, 5, p, inputs));
+    }
+    const auto results = run_specs(specs);
+
+    const std::vector<int> w = {34, 8, 10, 16, 14};
+    std::printf("n = %zu\n", n);
+    print_row({"condition", "rounds", "levels", "bits", "bits/n^2"}, w);
+    for (std::size_t k = 0; k < conditions.size(); ++k) {
+      const auto& p = params[k];
+      const auto& r = results[k];
       // Round/level counts are static functions of the parameters.
       const auto rounds = p.r_max(n);
       const auto levels = p.num_levels();
       const double bits = r.megabytes * 8e6;
-      print_row({c.name, std::to_string(rounds), std::to_string(levels),
-                 fmt(bits, 0),
+      print_row({conditions[k].name, std::to_string(rounds),
+                 std::to_string(levels), fmt(bits, 0),
                  fmt(bits / (static_cast<double>(n) * n), 0)},
                 w);
       if (!r.ok) std::printf("  !! run did not terminate\n");

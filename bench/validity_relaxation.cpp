@@ -26,6 +26,33 @@ struct Accum {
   int trials = 0;
 };
 
+/// Run Delphi (seeds delphi_seed + trial) and the exact FIN-style protocol
+/// (fin_seed + trial) on every trial's inputs as one batch, and average how
+/// far each output sits from the honest mean.
+Accum compare(Testbed tb, const protocol::DelphiParams& params,
+              std::uint64_t delphi_seed, std::uint64_t fin_seed,
+              const std::vector<std::vector<double>>& trial_inputs) {
+  std::vector<scenario::ScenarioSpec> specs;
+  for (std::size_t t = 0; t < trial_inputs.size(); ++t) {
+    const auto& in = trial_inputs[t];
+    specs.push_back(delphi_spec(tb, in.size(), delphi_seed + t, params, in));
+    specs.push_back(fin_spec(tb, in.size(), fin_seed + t, in));
+  }
+  const auto results = run_specs(specs);
+  Accum acc;
+  for (std::size_t t = 0; t < trial_inputs.size(); ++t) {
+    const auto& d = results[2 * t];
+    const auto& f = results[2 * t + 1];
+    if (!d.ok || !f.ok) continue;
+    const auto s = stats::summarize(trial_inputs[t]);
+    acc.delphi_dist += std::fabs(d.outputs.front() - s.mean);
+    acc.exact_dist += std::fabs(f.outputs.front() - s.mean);
+    acc.delta_sum += s.range();
+    ++acc.trials;
+  }
+  return acc;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -40,24 +67,18 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------------------------- oracle
   {
-    Accum acc;
-    auto params = protocol::DelphiParams::oracle_network();
+    std::vector<std::vector<double>> trial_inputs;
     for (int trial = 0; trial < trials; ++trial) {
       oracle::PriceFeed feed(oracle::FeedConfig{}, Rng(100 + trial));
       const auto snapshot = feed.next_minute();
       Rng obs(200 + trial);
       std::vector<double> inputs(n);
       for (auto& v : inputs) v = oracle::node_observation(snapshot, 3, obs);
-      const auto s = stats::summarize(inputs);
-
-      const auto d = run_delphi(Testbed::kAws, n, 300 + trial, params, inputs);
-      const auto f = run_fin(Testbed::kAws, n, 400 + trial, inputs);
-      if (!d.ok || !f.ok) continue;
-      acc.delphi_dist += std::fabs(d.outputs.front() - s.mean);
-      acc.exact_dist += std::fabs(f.outputs.front() - s.mean);
-      acc.delta_sum += s.range();
-      ++acc.trials;
+      trial_inputs.push_back(std::move(inputs));
     }
+    const Accum acc = compare(Testbed::kAws,
+                              protocol::DelphiParams::oracle_network(), 300,
+                              400, trial_inputs);
     std::printf("oracle network (n = %zu, %d runs):\n", n, acc.trials);
     std::printf("  mean honest range delta: %.1f$  (paper: ~25$)\n",
                 acc.delta_sum / acc.trials);
@@ -72,8 +93,7 @@ int main(int argc, char** argv) {
 
   // ----------------------------------------------------------------- drone
   {
-    Accum acc;
-    auto params = protocol::DelphiParams::drone_cps();
+    std::vector<std::vector<double>> trial_inputs;
     drone::DetectionModel model{drone::DetectionConfig{}};
     for (int trial = 0; trial < trials; ++trial) {
       Rng rng(500 + trial);
@@ -81,16 +101,10 @@ int main(int argc, char** argv) {
       const auto obs = drone::fleet_observations(model, gt, n, rng);
       std::vector<double> inputs(n);
       for (std::size_t i = 0; i < n; ++i) inputs[i] = obs[i].x;
-      const auto s = stats::summarize(inputs);
-
-      const auto d = run_delphi(Testbed::kCps, n, 600 + trial, params, inputs);
-      const auto f = run_fin(Testbed::kCps, n, 700 + trial, inputs);
-      if (!d.ok || !f.ok) continue;
-      acc.delphi_dist += std::fabs(d.outputs.front() - s.mean);
-      acc.exact_dist += std::fabs(f.outputs.front() - s.mean);
-      acc.delta_sum += s.range();
-      ++acc.trials;
+      trial_inputs.push_back(std::move(inputs));
     }
+    const Accum acc = compare(Testbed::kCps, protocol::DelphiParams::drone_cps(),
+                              600, 700, trial_inputs);
     std::printf("drone localization, per coordinate (n = %zu, %d runs):\n", n,
                 acc.trials);
     std::printf("  mean honest range delta: %.2f m (paper: ~0.92 m)\n",

@@ -34,9 +34,11 @@ class Context {
   /// System size n.
   virtual std::size_t n() const = 0;
 
-  /// Current local time (simulated µs under the simulator; wall µs under
-  /// TCP). Protocols in this repo never branch on time — asynchronous-model
-  /// correctness forbids it — but applications and metrics read it.
+  /// Current local time in µs since the run started (simulated under the
+  /// simulator; wall clock since the cluster epoch on the socket
+  /// substrates). Protocols in this repo never branch on time —
+  /// asynchronous-model correctness forbids it — but applications and
+  /// metrics read it.
   virtual SimTime now() const = 0;
 
   /// Send one message to `to` (loopback allowed).

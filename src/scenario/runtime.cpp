@@ -19,17 +19,6 @@ namespace delphi::scenario {
 
 namespace {
 
-/// Resolve t (kAutoFaults → protocol default) and validate (structure and
-/// parameter keys — a typo'd param must not silently change nothing).
-ScenarioSpec resolve(const ScenarioSpec& spec, const ProtocolRegistry& reg,
-                     const ProtocolInfo& info) {
-  ScenarioSpec rs = spec;
-  if (rs.t == kAutoFaults) rs.t = info.default_faults(rs.n);
-  rs.validate();
-  rs.validate_params(reg);
-  return rs;
-}
-
 /// Crash-fault placement: the top `crashes` node ids, silent from the start
 /// (the fault model of the paper's crash experiments and delphi_cli
 /// --crashes).
@@ -51,17 +40,28 @@ std::set<NodeId> byzantine_set(const ScenarioSpec& spec) {
   return ids;
 }
 
+/// Every behaviourally-faulted placement (crash block + byzantine block):
+/// excluded from honest traffic, outputs, and termination accounting.
+std::set<NodeId> faulted_set(const ScenarioSpec& spec) {
+  auto ids = crash_set(spec);
+  ids.merge(byzantine_set(spec));
+  return ids;
+}
+
 /// Wrap the suite factory so faulted placements get their declared
 /// behaviour: SilentProtocol on crash ids, the spec'd Byzantine wrapper on
 /// byzantine ids, the honest suite everywhere else. Protocol-level wrapping,
-/// so the same factory runs on both substrates.
+/// so the same factory runs on every substrate. Faults wrap the whole node:
+/// a crashed node is silent across every instance, crash-after counts sends
+/// across the pipeline.
 net::ProtocolFactory with_faults(net::ProtocolFactory inner,
-                                 std::set<NodeId> crashed,
-                                 std::set<NodeId> byz, ByzantineSpec bz) {
+                                 const ScenarioSpec& spec) {
+  auto crashed = crash_set(spec);
+  auto byz = byzantine_set(spec);
   if (crashed.empty() && byz.empty()) return inner;
   return [inner = std::move(inner), crashed = std::move(crashed),
           byz = std::move(byz),
-          bz](NodeId i) -> std::unique_ptr<net::Protocol> {
+          bz = spec.byzantine](NodeId i) -> std::unique_ptr<net::Protocol> {
     if (crashed.contains(i)) return std::make_unique<sim::SilentProtocol>();
     if (byz.contains(i)) {
       switch (bz.kind) {
@@ -281,22 +281,45 @@ void check_netem_support(const ScenarioSpec& rs) {
   }
 }
 
-/// The socket-substrate run body shared by TcpRuntime and UdpRuntime: both
-/// clusters expose the same lifecycle/observer API, so only the Options
-/// differ.
-template <typename Cluster>
-RunReport run_cluster(const ProtocolInfo& info, const ScenarioSpec& rs,
-                      const typename Cluster::Options& opts) {
-  const auto crashed = crash_set(rs);
-  auto faulted = crashed;
-  faulted.merge(byzantine_set(rs));
-  // Faults wrap the whole node: a crashed node is silent across every
-  // instance, crash-after counts sends across the pipeline — the same
-  // composition on every substrate.
-  const auto factory = with_faults(make_node_factory(info, rs), crashed,
-                                   byzantine_set(rs), rs.byzantine);
+/// A spec ready to run: its protocol's registry entry and the resolved spec.
+struct Prepared {
+  const ProtocolInfo& info;
+  ScenarioSpec rs;
+};
 
-  Cluster cluster(opts);
+/// The preamble of every runtime: look the protocol up (`registry` nullptr =
+/// the global one), resolve t (kAutoFaults → protocol default), validate
+/// structure and parameter keys (a typo'd param must not silently change
+/// nothing), and reject netem knobs the substrate cannot honour.
+Prepared prepare(const ScenarioSpec& spec, const ProtocolRegistry* registry) {
+  const auto& reg =
+      registry != nullptr ? *registry : ProtocolRegistry::global();
+  const auto& info = reg.require(spec.protocol);
+  ScenarioSpec rs = spec;
+  if (rs.t == kAutoFaults) rs.t = info.default_faults(rs.n);
+  rs.validate();
+  rs.validate_params(reg);
+  check_netem_support(rs);
+  return {info, std::move(rs)};
+}
+
+/// The options every socket substrate reads from a spec.
+void fill_socket_options(const ScenarioSpec& rs,
+                         transport::SocketOptions& opts) {
+  opts.n = rs.n;
+  opts.auth = rs.param("auth", 1.0) != 0.0;
+  opts.seed = rs.seed;
+  opts.timeout_ms = static_cast<std::int64_t>(rs.param("timeout-ms", 30'000.0));
+  opts.netem = netem_from_spec(rs);
+  opts.churn = churn_windows(rs);
+}
+
+/// The socket-substrate run body shared by TcpRuntime and UdpRuntime.
+RunReport run_cluster(transport::SocketCluster& cluster,
+                      const ProtocolInfo& info, const ScenarioSpec& rs) {
+  const auto faulted = faulted_set(rs);
+  const auto factory = with_faults(make_node_factory(info, rs), rs);
+
   const auto start = std::chrono::steady_clock::now();
   cluster.start(factory, make_node_decoder(info, rs));
 
@@ -358,31 +381,20 @@ sim::SimConfig testbed_config(TestbedKind tb, std::size_t n,
 }
 
 RunReport SimRuntime::run(const ScenarioSpec& spec) {
-  const auto& reg = registry_ != nullptr ? *registry_ : ProtocolRegistry::global();
-  const auto& info = reg.require(spec.protocol);
-  const ScenarioSpec rs = resolve(spec, reg, info);
-  check_netem_support(rs);
+  const auto [info, rs] = prepare(spec, registry_);
 
   auto cfg = testbed_config(rs.testbed, rs.n, rs.seed);
   cfg.auth_channels = rs.param("auth", 1.0) != 0.0;
   cfg.fifo_links = rs.param("fifo", 0.0) != 0.0;
   cfg.adversary = make_adversary(rs.adversary);
-  for (std::size_t e = 0; e < rs.churn.size(); ++e) {
-    for (NodeId id : churn_targets(rs, e)) {
-      cfg.churn.push_back({id, static_cast<SimTime>(rs.churn[e].down_us),
-                           static_cast<SimTime>(rs.churn[e].up_us)});
-    }
+  for (const auto& w : churn_windows(rs)) {
+    cfg.churn.push_back({w.id, w.down_us, w.up_us});
   }
 
-  const auto crashed = crash_set(rs);
-  // All behaviourally-faulted placements: excluded from honest traffic,
-  // outputs, and termination accounting.
-  auto faulted = crashed;
-  faulted.merge(byzantine_set(rs));
+  const auto faulted = faulted_set(rs);
   // The factory may own shared deployment state (coins, keys); it must
   // outlive the simulator, so it is declared first.
-  const auto factory = with_faults(make_node_factory(info, rs), crashed,
-                                   byzantine_set(rs), rs.byzantine);
+  const auto factory = with_faults(make_node_factory(info, rs), rs);
 
   sim::Simulator sim(cfg);
   for (NodeId i = 0; i < rs.n; ++i) sim.add_node(factory(i));
@@ -419,41 +431,24 @@ RunReport SimRuntime::run(const ScenarioSpec& spec) {
 }
 
 RunReport TcpRuntime::run(const ScenarioSpec& spec) {
-  const auto& reg = registry_ != nullptr ? *registry_ : ProtocolRegistry::global();
-  const auto& info = reg.require(spec.protocol);
-  const ScenarioSpec rs = resolve(spec, reg, info);
-  check_netem_support(rs);
-
+  const auto [info, rs] = prepare(spec, registry_);
   transport::TcpCluster::Options opts;
-  opts.n = rs.n;
-  opts.auth = rs.param("auth", 1.0) != 0.0;
-  opts.seed = rs.seed;
-  opts.timeout_ms = static_cast<std::int64_t>(rs.param("timeout-ms", 30'000.0));
-  opts.nodelay = rs.param("nodelay", 1.0) != 0.0;
   // Every adversary= form runs here via the shim's holdback (delay-only:
-  // check_netem_support already rejected the loss knobs).
-  opts.netem = netem_from_spec(rs);
-  opts.churn = churn_windows(rs);  // non-empty implies recovery mode
-
-  return run_cluster<transport::TcpCluster>(info, rs, opts);
+  // prepare() already rejected the loss knobs). A churn schedule implies
+  // recovery mode.
+  fill_socket_options(rs, opts);
+  opts.nodelay = rs.param("nodelay", 1.0) != 0.0;
+  transport::TcpCluster cluster(opts);
+  return run_cluster(cluster, info, rs);
 }
 
 RunReport UdpRuntime::run(const ScenarioSpec& spec) {
-  const auto& reg = registry_ != nullptr ? *registry_ : ProtocolRegistry::global();
-  const auto& info = reg.require(spec.protocol);
-  const ScenarioSpec rs = resolve(spec, reg, info);
-  check_netem_support(rs);
-
+  const auto [info, rs] = prepare(spec, registry_);
   transport::UdpMesh::Options opts;
-  opts.n = rs.n;
-  opts.auth = rs.param("auth", 1.0) != 0.0;
-  opts.seed = rs.seed;
-  opts.timeout_ms = static_cast<std::int64_t>(rs.param("timeout-ms", 30'000.0));
+  fill_socket_options(rs, opts);
   opts.rto_ms = static_cast<std::int64_t>(rs.param("rto-ms", 25.0));
-  opts.netem = netem_from_spec(rs);
-  opts.churn = churn_windows(rs);
-
-  return run_cluster<transport::UdpMesh>(info, rs, opts);
+  transport::UdpMesh mesh(opts);
+  return run_cluster(mesh, info, rs);
 }
 
 RunReport run_scenario(const ScenarioSpec& spec) {

@@ -1,9 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <new>
-
-#include "common/log.hpp"
 
 namespace delphi::sim {
 
@@ -242,7 +241,8 @@ bool Simulator::run() {
   const std::size_t honest_count = cfg_.n - byzantine_.size();
   while (!heap_.empty() || !marker_heap_.empty()) {
     if (metrics_.events_processed >= cfg_.max_events) {
-      DLOG(kWarn) << "simulator: max_events reached at t=" << now_;
+      std::fprintf(stderr, "[WARN ] simulator: max_events reached at t=%lld\n",
+                   static_cast<long long>(now_));
       break;
     }
     // Pop the global (time, seq) minimum across the event and marker heaps.

@@ -1,7 +1,5 @@
 #include "transport/tcp.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -12,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <queue>
 #include <string>
 
 #include "common/error.hpp"
@@ -22,6 +19,9 @@ namespace delphi::transport {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using sock::loopback_addr;
+using sock::set_nonblocking;
+using sock::sys_fail;
 
 /// First bytes on every link: magic + the initiator's node id, plus (on
 /// authenticated deployments) an HMAC tag under the pairwise key — without
@@ -75,103 +75,22 @@ crypto::Digest hello_tag(const crypto::Key& key, NodeId initiator,
 /// without completing its hello before it is declared half-open and dropped.
 constexpr SimTime kDialTimeoutUs = 2'000'000;
 
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    sys_fail("fcntl(O_NONBLOCK)");
-  }
-}
-
 void set_nodelay(int fd) {
   const int one = 1;
   // Best-effort: latency tuning, not correctness.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-sockaddr_in loopback_addr(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return addr;
-}
-
-/// Bind a listening socket on 127.0.0.1 with an OS-assigned port.
-int make_listen_socket(std::uint16_t& port_out) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) sys_fail("socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr(0);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind");
-  }
+/// Listening socket on 127.0.0.1:`port` (0 = OS-assigned, written back). A
+/// restarted node passes its published port: peers re-dial the port they
+/// were given at cluster start.
+int make_listen_socket(std::uint16_t& port) {
+  const int fd = sock::bind_loopback(SOCK_STREAM, port);
   if (::listen(fd, SOMAXCONN) < 0) {
     ::close(fd);
     sys_fail("listen");
   }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    ::close(fd);
-    sys_fail("getsockname");
-  }
-  port_out = ntohs(addr.sin_port);
   return fd;
-}
-
-/// Bind a listening socket on 127.0.0.1 on a *specific* port — how a
-/// restarted node reclaims its published identity (peers re-dial the port
-/// they were given at cluster start; SO_REUSEADDR beats the old socket's
-/// lingering state on loopback).
-int make_listen_socket_on(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) sys_fail("socket(rebind)");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind(rebind port " + std::to_string(port) + ")");
-  }
-  if (::listen(fd, SOMAXCONN) < 0) {
-    ::close(fd);
-    sys_fail("listen(rebind)");
-  }
-  return fd;
-}
-
-/// Blocking connect with retry until `deadline` (peers may not be accepting
-/// yet while the cluster boots).
-int connect_with_retry(std::uint16_t port, Clock::time_point deadline) {
-  while (true) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket");
-    sockaddr_in addr = loopback_addr(port);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      return fd;
-    }
-    ::close(fd);
-    if (Clock::now() >= deadline) {
-      throw Error("tcp: connect deadline exceeded (port " +
-                  std::to_string(port) + ")");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
-/// Write all of `data` on a (blocking) fd.
-void write_all(int fd, std::span<const std::uint8_t> data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t k = ::write(fd, data.data() + off, data.size() - off);
-    if (k <= 0) sys_fail("write(hello)");
-    off += static_cast<std::size_t>(k);
-  }
 }
 
 std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
@@ -206,53 +125,36 @@ bool write_fully(int fd, std::span<const std::uint8_t> data) {
   return true;
 }
 
+/// Read more of a `want`-byte hello into `buf` from a non-blocking fd.
+/// Returns false if the peer hung up or the socket failed first.
+bool read_hello(int fd, std::vector<std::uint8_t>& buf, std::size_t want) {
+  while (buf.size() < want) {
+    std::uint8_t tmp[64];
+    const ssize_t k = ::read(fd, tmp, want - buf.size());
+    if (k <= 0) return k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    buf.insert(buf.end(), tmp, tmp + k);
+  }
+  return true;
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------- Node
 
-class TcpCluster::Node final : public net::Context {
+class TcpCluster::Node final : public SocketNode {
  public:
-  Node(NodeId self, const Options& opts, const crypto::KeyStore& keys,
-       const std::vector<std::uint16_t>& ports, int listen_fd,
-       Clock::time_point epoch, std::unique_ptr<net::Protocol> protocol,
-       std::function<std::unique_ptr<net::Protocol>()> rebuild,
-       Decoder decoder, net::WakeupFd& done_wake)
-      : self_(self),
-        opts_(opts),
-        keys_(keys),
-        ports_(ports),
+  Node(TcpCluster& cluster, NodeId self, int listen_fd)
+      : SocketNode(cluster, self, cluster.opts_),
+        opts_(cluster.opts_),
+        keys_(cluster.keys()),
+        ports_(cluster.ports()),
         listen_fd_(listen_fd),
-        epoch_(epoch),
-        protocol_(std::move(protocol)),
-        rebuild_(std::move(rebuild)),
-        decoder_(std::move(decoder)),
-        done_wake_(done_wake),
-        rng_(opts.seed ^ (0x9e3779b97f4a7c15ULL * (self + 1))),
         // Backoff jitter gets its own deterministic stream so the
         // supervisor never perturbs the protocol's rng() draws.
-        jitter_rng_(opts.seed ^ (0xc2b2ae3d27d4eb4fULL * (self + 2))),
-        recovery_(opts.recovery) {
+        jitter_rng_(opts_.seed ^ (0xc2b2ae3d27d4eb4fULL * (self + 2))),
+        recovery_(opts_.recovery) {
     peers_.resize(opts_.n);
-    for (const auto& w : opts_.churn) {
-      if (w.id == self_) windows_.push_back(w);
-    }
-    std::sort(windows_.begin(), windows_.end(),
-              [](const ChurnWindow& a, const ChurnWindow& b) {
-                return a.down_us < b.down_us;
-              });
-    for (NodeId j = 0; j < opts_.n; ++j) {
-      if (j == self_) continue;
-      Peer& p = peers_[j];
-      if (opts_.auth) {
-        // One HMAC key schedule per link lifetime: the midstates serve both
-        // outgoing tags and the parser's verification.
-        p.mac.emplace(keys_.channel_key(self_, j));
-        p.parser = FrameParser(&*p.mac);
-      }
-      if (opts_.netem.active()) {
-        p.shim = net::netem::LinkShim(opts_.netem, self_, j);
-      }
-    }
+    for (NodeId j = 0; j < opts_.n; ++j) peers_[j].parser = FrameParser(mac(j));
     rbuf_.resize(64 * 1024);
   }
 
@@ -265,81 +167,6 @@ class TcpCluster::Node final : public net::Context {
     if (listen_fd_ >= 0) ::close(listen_fd_);
   }
 
-  // ---- net::Context -------------------------------------------------------
-  NodeId self() const override { return self_; }
-  std::size_t n() const override { return opts_.n; }
-
-  SimTime now() const override {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               Clock::now().time_since_epoch())
-        .count();
-  }
-
-  void send(NodeId to, std::uint32_t channel, net::MessagePtr msg) override {
-    DELPHI_ASSERT(to < opts_.n, "tcp send: bad destination");
-    if (to == self_) {
-      local_.emplace_back(channel, std::move(msg));
-      return;
-    }
-    enqueue_frame(to, encode_frame_body(channel, *msg, opts_.auth));
-  }
-
-  void broadcast(std::uint32_t channel, net::MessagePtr msg) override {
-    // One serialization for all destinations: the body (length prefix +
-    // channel + payload) is immutable and shared; only per-link tags differ.
-    const SharedFrameBody body = encode_frame_body(channel, *msg, opts_.auth);
-    for (NodeId j = 0; j < opts_.n; ++j) {
-      if (j == self_) {
-        local_.emplace_back(channel, msg);
-      } else {
-        enqueue_frame(j, body);
-      }
-    }
-  }
-
-  void charge_compute(SimTime) override {}  // real cycles are already spent
-  Rng& rng() override { return rng_; }
-
-  // ---- lifecycle -----------------------------------------------------------
-
-  /// Entire node life: mesh setup, protocol start, event loop. Runs on the
-  /// node's own thread; never touches other nodes.
-  void run(const std::atomic<bool>& stop) {
-    try {
-      setup_mesh(stop);
-      protocol_->on_start(*this);
-      drain_local();
-      note_termination();
-      event_loop(stop);
-    } catch (const std::exception& e) {
-      error_ = e.what();
-    }
-    if (have_snapshot_) {
-      // Stopped (or died) while dark: rebuild the protocol from its
-      // snapshot so outputs stay harvestable after the join.
-      try {
-        restore_protocol();
-      } catch (const std::exception& e) {
-        if (error_.empty()) error_ = e.what();
-      }
-    }
-    // A thread that exits un-terminated is dead for good; wake wait() so it
-    // can fail fast instead of sleeping out the whole deadline.
-    exited.store(true, std::memory_order_release);
-    done_wake_.signal();
-  }
-
-  /// Interrupt this node's (possibly indefinite) poll. Any thread.
-  void wake() noexcept { wake_.signal(); }
-
-  std::atomic<bool> done{false};
-  /// This node's thread has returned from run() (error or stop).
-  std::atomic<bool> exited{false};
-
-  net::Protocol& protocol() { return *protocol_; }
-  const TransportMetrics& metrics() const { return metrics_; }
-  const std::string& error() const { return error_; }
-
  private:
   /// One queued outbound frame: the shared destination-independent body and
   /// this link's MAC tag (meaningful only on authenticated links).
@@ -350,11 +177,7 @@ class TcpCluster::Node final : public net::Context {
 
   struct Peer {
     int fd = -1;
-    /// Precomputed pairwise HMAC midstates (send tags + parser verify).
-    std::optional<crypto::HmacKey> mac;
     FrameParser parser;
-    /// Netem emulation for this directed link (inert unless configured).
-    net::netem::LinkShim shim;
     std::deque<PendingFrame> outq;
     /// Bytes of outq.front() already on the wire (may point into the tag).
     std::size_t front_written = 0;
@@ -392,48 +215,24 @@ class TcpCluster::Node final : public net::Context {
     SimTime deadline = 0;
   };
 
-  /// A frame the netem shim is holding back from the wire until `release`.
-  struct HeldFrame {
-    SimTime release = 0;
-    std::uint64_t order = 0;
-    NodeId to = 0;
-    PendingFrame frame;
-  };
-  struct HeldLater {
-    bool operator()(const HeldFrame& a, const HeldFrame& b) const {
-      return a.release != b.release ? a.release > b.release
-                                    : a.order > b.order;
-    }
-  };
-
-  SimTime now_us() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 epoch_)
-        .count();
-  }
-
-  void enqueue_frame(NodeId to, const SharedFrameBody& body) {
+  void enqueue_frame(NodeId to, const SharedFrameBody& body) override {
     Peer& p = peers_[to];
-    // Counted at enqueue (matches the simulator's send-time accounting and
-    // the pre-overhaul data plane), even if the link has died since.
-    ++metrics_.msgs_sent;
-    metrics_.bytes_sent += frame_wire_size(*body, p.mac.has_value());
     if (!recovery_ && p.fd < 0) {
       return;  // link closed for good: bytes would never reach the wire
     }
     PendingFrame pf;
     pf.body = body;
-    if (p.mac.has_value()) pf.tag = frame_tag(*p.mac, *body);
+    if (auth_) pf.tag = frame_tag(*mac(to), *body);
     if (recovery_) log_frame(p, pf);
     if (p.fd < 0) return;  // link down: the log replays this on reconnect
-    if (p.shim.active()) {
-      const SimTime now = now_us();
+    if (net::netem::LinkShim& shim = links_[to].shim; shim.active()) {
+      const SimTime t = now();
       const auto v =
-          p.shim.on_send(now, frame_wire_size(*body, p.mac.has_value()));
+          shim.on_send(t, frame_wire_size(*body, auth_));
       // Delay-only on TCP (drop verdicts ignored — see Options::netem): a
       // future release parks the frame on the holdback heap; the event loop
       // moves it to the outq when due.
-      if (v.release_us > now) {
+      if (v.release_us > t) {
         held_.push({v.release_us, v.order, to, std::move(pf)});
         return;
       }
@@ -446,10 +245,10 @@ class TcpCluster::Node final : public net::Context {
   /// adversary's within-window LIFO on a real stream.
   void release_held(SimTime now) {
     while (!held_.empty() && held_.top().release <= now) {
-      HeldFrame h = std::move(const_cast<HeldFrame&>(held_.top()));
+      auto h = std::move(const_cast<Held<PendingFrame>&>(held_.top()));
       held_.pop();
       Peer& p = peers_[h.to];
-      if (p.fd >= 0) p.outq.push_back(std::move(h.frame));
+      if (p.fd >= 0) p.outq.push_back(std::move(h.item));
     }
   }
 
@@ -458,38 +257,46 @@ class TcpCluster::Node final : public net::Context {
   /// Append a sent frame to the link's bounded replay log (drop-oldest past
   /// the byte budget — graceful degradation while the peer is down).
   void log_frame(Peer& p, const PendingFrame& pf) {
-    const bool auth = p.mac.has_value();
     ++p.sent_count;
     p.log.push_back(pf);
-    p.log_bytes += frame_wire_size(*pf.body, auth);
+    p.log_bytes += frame_wire_size(*pf.body, auth_);
     while (p.log_bytes > opts_.replay_budget_bytes && !p.log.empty()) {
-      p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
+      p.log_bytes -= frame_wire_size(*p.log.front().body, auth_);
       p.log.pop_front();
       ++p.log_start;
     }
   }
 
-  /// Validate a recovery hello claiming to come from `expect`; extracts the
-  /// sender's receive count on success.
-  bool check_hello(std::span<const std::uint8_t> buf, NodeId expect,
-                   std::uint64_t& recv_out) const {
+  /// The peer a hello proves itself to be, or n if it proves nothing (bad
+  /// magic, out-of-range id, forged tag). Recovery hellos carry the
+  /// sender's receive count, extracted into `*recv_out`; legacy hellos pass
+  /// nullptr.
+  NodeId hello_sender(std::span<const std::uint8_t> buf,
+                      std::uint64_t* recv_out) const {
     ByteReader r(buf);
-    if (r.u32() != kHelloMagic) return false;
-    if (r.u32() != expect) return false;
-    recv_out = r.u64();
-    if (!opts_.auth) return true;
+    const bool magic_ok = r.u32() == kHelloMagic;
+    const NodeId who = r.u32();
+    if (!magic_ok || who >= opts_.n || who == self_) return opts_.n;
+    if (recv_out != nullptr) *recv_out = r.u64();
+    if (!opts_.auth) return who;
     crypto::Digest received;
     const auto tag = r.raw(crypto::kMacTagSize);
     std::memcpy(received.data(), tag.data(), received.size());
     return crypto::digest_equal(
-        hello_tag(keys_.channel_key(self_, expect), expect, &recv_out),
-        received);
+               hello_tag(keys_.channel_key(self_, who), who, recv_out),
+               received)
+               ? who
+               : opts_.n;
   }
 
-  static NodeId claimed_id(std::span<const std::uint8_t> buf) {
-    ByteReader r(buf);
-    r.u32();  // magic (checked later by check_hello)
-    return r.u32();
+  /// Write our hello on the link to `peer`; in recovery mode it carries how
+  /// many frames we have received from that peer.
+  bool send_hello(int fd, NodeId peer) {
+    const crypto::Key* key =
+        opts_.auth ? &keys_.channel_key(self_, peer) : nullptr;
+    const std::uint64_t recv = peers_[peer].recv_count;
+    return write_fully(fd,
+                       encode_hello(self_, key, recovery_ ? &recv : nullptr));
   }
 
   /// Arm the next dial attempt for a lower-id peer: exponential backoff
@@ -506,7 +313,7 @@ class TcpCluster::Node final : public net::Context {
         std::min(kCap, kBase << std::min<std::uint32_t>(p.redial_attempts, 7));
     delay += static_cast<SimTime>(
         jitter_rng_.below(static_cast<std::uint64_t>(delay / 4 + 1)));
-    const SimTime at = now_us() + delay;
+    const SimTime at = now() + delay;
     if (at > opts_.timeout_ms * 1'000) {
       p.redial_at = -1;  // nothing past the run deadline can matter
       return;
@@ -517,20 +324,20 @@ class TcpCluster::Node final : public net::Context {
   /// Connection supervisor pass: abort stalled dial attempts, start due
   /// re-dials, and drop half-open pending accepts.
   void supervisor_tick() {
-    const SimTime now = now_us();
+    const SimTime t = now();
     for (NodeId j = 0; j < self_; ++j) {
       Peer& p = peers_[j];
-      if (p.dial_fd >= 0 && now >= p.dial_deadline) {
+      if (p.dial_fd >= 0 && t >= p.dial_deadline) {
         // Half-open: the connect or the hello reply never completed.
         fail_dial(j, p);
       }
       if (p.fd < 0 && p.dial_fd < 0 && p.redial_at >= 0 &&
-          now >= p.redial_at) {
+          t >= p.redial_at) {
         start_dial(j, p);
       }
     }
     for (std::size_t a = 0; a < accepts_.size();) {
-      if (now >= accepts_[a].deadline) {
+      if (t >= accepts_[a].deadline) {
         ::close(accepts_[a].fd);
         accepts_[a] = std::move(accepts_.back());
         accepts_.pop_back();
@@ -557,55 +364,44 @@ class TcpCluster::Node final : public net::Context {
     p.dial_fd = fd;
     p.dial_hello_sent = false;
     p.dial_buf.clear();
-    p.dial_deadline = now_us() + kDialTimeoutUs;
+    p.dial_deadline = now() + kDialTimeoutUs;
   }
 
-  /// Advance a reconnect attempt: finish the connect, send our hello (with
-  /// our receive count for this link), then read and verify the peer's
-  /// reply before adopting the socket.
-  void progress_dial(NodeId j, Peer& p) {
-    if (p.dial_fd < 0) return;
+  /// Advance a dial attempt once its socket is ready: finish the connect,
+  /// send our hello, and — recovery hellos are two-way — read and verify
+  /// the peer's reply. Returns true once the socket is adopted as the link.
+  bool progress_dial(NodeId j, Peer& p, bool bringup) {
+    if (p.dial_fd < 0) return false;
     if (!p.dial_hello_sent) {
       int err = 0;
       socklen_t len = sizeof(err);
       ::getsockopt(p.dial_fd, SOL_SOCKET, SO_ERROR, &err, &len);
-      if (err != 0) {
-        fail_dial(j, p);
-        return;
-      }
       if (opts_.nodelay) set_nodelay(p.dial_fd);
-      const crypto::Key* key =
-          opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
-      const std::uint64_t recv = p.recv_count;
-      if (!write_fully(p.dial_fd, encode_hello(self_, key, &recv))) {
+      if (err != 0 || !send_hello(p.dial_fd, j)) {
         fail_dial(j, p);
-        return;
+        return false;
       }
       p.dial_hello_sent = true;
-      return;
-    }
-    const std::size_t want = hello_size(opts_.auth, true);
-    while (p.dial_buf.size() < want) {
-      std::uint8_t tmp[64];
-      const ssize_t k = ::read(p.dial_fd, tmp, want - p.dial_buf.size());
-      if (k > 0) {
-        p.dial_buf.insert(p.dial_buf.end(), tmp, tmp + k);
-        continue;
-      }
-      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      fail_dial(j, p);  // EOF or hard error before the full reply
-      return;
+      if (recovery_) return false;  // the reply comes on a later POLLIN
     }
     std::uint64_t peer_recv = 0;
-    if (!check_hello(p.dial_buf, j, peer_recv)) {
-      fail_dial(j, p);
-      return;
+    if (recovery_) {
+      const std::size_t want = hello_size(opts_.auth, true);
+      if (!read_hello(p.dial_fd, p.dial_buf, want)) {
+        fail_dial(j, p);  // EOF or hard error before the full reply
+        return false;
+      }
+      if (p.dial_buf.size() < want) return false;
+      if (hello_sender(p.dial_buf, &peer_recv) != j) {
+        fail_dial(j, p);
+        return false;
+      }
     }
     const int fd = p.dial_fd;
     p.dial_fd = -1;
-    p.dial_hello_sent = false;
-    p.dial_buf.clear();
-    adopt_link(j, p, fd, peer_recv);
+    abort_dial(p);
+    adopt_link(j, fd, peer_recv, bringup);
+    return true;
   }
 
   void fail_dial(NodeId j, Peer& p) {
@@ -623,73 +419,62 @@ class TcpCluster::Node final : public net::Context {
     p.dial_buf.clear();
   }
 
-  /// Steady-state accept path: a known higher-id peer is re-establishing
-  /// its link (it restarted, or we did and it noticed the EOF). Hellos
-  /// complete asynchronously in progress_accepts() under a deadline.
-  void accept_reconnects() {
+  /// Take every waiting connection; its hello completes asynchronously in
+  /// progress_accepts() (under a deadline once the mesh is up).
+  void accept_pending() {
     while (true) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) break;
       if (opts_.nodelay) set_nodelay(fd);
       set_nonblocking(fd);
-      accepts_.push_back({fd, {}, now_us() + kDialTimeoutUs});
+      accepts_.push_back({fd, {}, now() + kDialTimeoutUs});
     }
   }
 
-  void progress_accepts() {
-    const std::size_t want = hello_size(opts_.auth, true);
+  /// Advance every pending accept's hello; returns how many became links.
+  /// At bring-up each higher id links once; afterwards a known higher-id
+  /// peer is re-establishing its link (it restarted, or we did and it
+  /// noticed the EOF).
+  std::size_t progress_accepts(bool bringup) {
+    const std::size_t want = hello_size(opts_.auth, recovery_);
+    std::size_t linked = 0;
     for (std::size_t a = 0; a < accepts_.size();) {
       PendingAccept& pa = accepts_[a];
-      std::uint8_t tmp[64];
-      const ssize_t k = ::read(pa.fd, tmp, want - pa.buf.size());
-      if (k > 0) pa.buf.insert(pa.buf.end(), tmp, tmp + k);
-      const bool dead =
-          k == 0 || (k < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
-      bool settled = false;
-      if (!dead && pa.buf.size() == want) {
-        settled = true;
-        const NodeId who = claimed_id(pa.buf);
-        std::uint64_t peer_recv = 0;
-        if (who > self_ && who < opts_.n &&
-            check_hello(pa.buf, who, peer_recv)) {
-          // Reply with our receive count; the dialer replays its
-          // undelivered suffix symmetrically once it has read it.
-          Peer& p = peers_[who];
-          const crypto::Key* key =
-              opts_.auth ? &keys_.channel_key(self_, who) : nullptr;
-          const std::uint64_t recv = p.recv_count;
-          if (write_fully(pa.fd, encode_hello(self_, key, &recv))) {
-            adopt_link(who, p, pa.fd, peer_recv);
-          } else {
-            ::close(pa.fd);
-          }
-        } else {
-          ::close(pa.fd);  // stranger, forger, or nonsense: reject
-        }
-      }
-      if (dead) ::close(pa.fd);
-      if (dead || settled) {
-        accepts_[a] = std::move(accepts_.back());
-        accepts_.pop_back();
-      } else {
+      const bool alive = read_hello(pa.fd, pa.buf, want);
+      if (alive && pa.buf.size() < want) {
         ++a;
+        continue;
       }
+      std::uint64_t peer_recv = 0;
+      const NodeId who =
+          alive ? hello_sender(pa.buf, recovery_ ? &peer_recv : nullptr)
+                : self_;
+      // A recovery hello is two-way: reply with our receive count; the
+      // dialer replays its undelivered suffix once it has read it.
+      if (who > self_ && who < opts_.n &&
+          !(bringup && peers_[who].fd >= 0) &&
+          (!recovery_ || send_hello(pa.fd, who))) {
+        adopt_link(who, pa.fd, peer_recv, bringup);
+        ++linked;
+      } else {
+        ::close(pa.fd);  // stranger, forger, duplicate, or hang-up: reject
+      }
+      accepts_[a] = std::move(accepts_.back());
+      accepts_.pop_back();
     }
+    return linked;
   }
 
   /// Install a freshly handshaken socket as peer j's link and replay the
   /// log suffix the peer's hello says it is missing. A still-open old fd is
   /// replaced (reconnect-during-handshake race: the newest handshake wins).
-  void adopt_link(NodeId j, Peer& p, int fd, std::uint64_t peer_recv) {
-    if (p.fd >= 0) ::close(p.fd);
+  void adopt_link(NodeId j, int fd, std::uint64_t peer_recv, bool bringup) {
+    Peer& p = peers_[j];
+    drop_link(j);
     p.fd = fd;
-    p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
-    p.outq.clear();
-    p.front_written = 0;
-    p.blocked = false;
     p.redial_at = -1;
     drop_held_for(j);
-    ++metrics_.reconnects;
+    if (!bringup) ++metrics_.reconnects;
     replay_to(p, peer_recv);
   }
 
@@ -698,10 +483,10 @@ class TcpCluster::Node final : public net::Context {
   /// would deliver duplicates.
   void drop_held_for(NodeId j) {
     if (held_.empty()) return;
-    std::vector<HeldFrame> keep;
+    std::vector<Held<PendingFrame>> keep;
     keep.reserve(held_.size());
     while (!held_.empty()) {
-      HeldFrame h = std::move(const_cast<HeldFrame&>(held_.top()));
+      auto h = std::move(const_cast<Held<PendingFrame>&>(held_.top()));
       held_.pop();
       if (h.to != j) keep.push_back(std::move(h));
     }
@@ -712,49 +497,27 @@ class TcpCluster::Node final : public net::Context {
   /// Counted as catch-up traffic, never as new sends — honest-byte parity
   /// across substrates is preserved by construction.
   void replay_to(Peer& p, std::uint64_t peer_recv) {
-    const bool auth = p.mac.has_value();
     while (!p.log.empty() && p.log_start < peer_recv) {
       // The hello's receive count acknowledges this prefix: prune it.
-      p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
+      p.log_bytes -= frame_wire_size(*p.log.front().body, auth_);
       p.log.pop_front();
       ++p.log_start;
     }
     for (const PendingFrame& pf : p.log) {
       ++metrics_.catchup_frames;
-      metrics_.catchup_bytes += frame_wire_size(*pf.body, auth);
+      metrics_.catchup_bytes += frame_wire_size(*pf.body, auth_);
       p.outq.push_back(pf);
     }
   }
 
-  /// Drive this node's own restart schedule.
-  void churn_tick() {
-    if (!down_ && next_window_ < windows_.size() &&
-        now_us() >= windows_[next_window_].down_us) {
-      go_down(windows_[next_window_].up_us);
-      ++next_window_;
-    }
-    if (down_ && now_us() >= up_at_) come_up();
-  }
-
-  /// The node goes dark: close every socket (peers observe EOF / refused
-  /// connections), snapshot a restartable protocol, freeze until up_at.
-  void go_down(SimTime up_at) {
-    down_ = true;
-    up_at_ = up_at;
-    down_since_ = now_us();
+  /// Dark window begins: close every socket (peers observe EOF / refused
+  /// connections) and drop held frames — they are all in the replay logs.
+  void close_io() override {
     for (NodeId j = 0; j < opts_.n; ++j) {
       if (j == self_) continue;
-      Peer& p = peers_[j];
-      if (p.fd >= 0) {
-        ::close(p.fd);
-        p.fd = -1;
-      }
-      p.outq.clear();
-      p.front_written = 0;
-      p.blocked = false;
-      p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
-      abort_dial(p);
-      p.redial_at = -1;
+      drop_link(j);
+      abort_dial(peers_[j]);
+      peers_[j].redial_at = -1;
     }
     for (auto& pa : accepts_) ::close(pa.fd);
     accepts_.clear();
@@ -762,234 +525,74 @@ class TcpCluster::Node final : public net::Context {
       ::close(listen_fd_);
       listen_fd_ = -1;
     }
-    held_ = {};  // held frames are all in the replay logs already
-    // A RestartableProtocol is serialized and destroyed — the rejoin
-    // rebuilds it from bytes, proving the snapshot path end to end. Other
-    // protocols keep their in-memory state across the dark window and rely
-    // on message-level redundancy to catch up.
-    if (rebuild_) {
-      if (auto* rp =
-              dynamic_cast<net::RestartableProtocol*>(protocol_.get())) {
-        ByteWriter w(256);
-        rp->snapshot(w);
-        snapshot_ = w.take();
-        have_snapshot_ = true;
-        protocol_.reset();
-      }
-    }
+    held_ = {};
   }
 
-  /// Restart: rebind the listen port, restore the protocol, re-dial every
-  /// lower id (higher ids re-dial us once they see the port is back).
-  void come_up() {
-    down_ = false;
-    metrics_.downtime_us += static_cast<std::uint64_t>(now_us() - down_since_);
-    listen_fd_ = make_listen_socket_on(ports_[self_]);
+  /// Restart: rebind the listen port and re-dial every lower id (higher ids
+  /// re-dial us once they see the port is back).
+  void reopen_io() override {
+    std::uint16_t port = ports_[self_];
+    listen_fd_ = make_listen_socket(port);
     set_nonblocking(listen_fd_);
-    if (have_snapshot_) restore_protocol();
     for (NodeId j = 0; j < self_; ++j) {
       peers_[j].redial_attempts = 0;
-      peers_[j].redial_at = now_us();  // dial now, back off on failure
+      peers_[j].redial_at = now();  // dial now, back off on failure
     }
-    drain_local();
-    note_termination();
   }
 
-  void restore_protocol() {
-    protocol_ = rebuild_();
-    auto* rp = dynamic_cast<net::RestartableProtocol*>(protocol_.get());
-    DELPHI_ASSERT(rp != nullptr, "tcp restart: factory lost snapshot support");
-    ByteReader r(snapshot_);
-    rp->restore(r);
-    snapshot_.clear();
-    have_snapshot_ = false;
+  void serve(const std::atomic<bool>& stop) override {
+    if (!setup_mesh(stop)) {
+      // Stopped mid-bring-up (a peer died, or wait() gave up): not a
+      // failure, and a placeholder terminated from construction (a crashed
+      // node) still counts as done.
+      note_termination();
+      return;
+    }
+    start_protocol();
+    event_loop(stop);
   }
 
-  /// The dark window: every socket is closed; nothing to do but wait for
-  /// the restart clock or the cluster stop signal (re-checked by the
-  /// caller's loop right after we return).
-  void park_dark() {
-    const SimTime ms = (up_at_ - now_us()) / 1000 + 1;
-    pollfd pf{wake_.fd(), POLLIN, 0};
-    ::poll(&pf, 1, static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000)));
-    if (pf.revents != 0) wake_.drain();
-  }
-
-  /// Establish the full mesh: connect to every lower id, accept from every
-  /// higher id, exchanging an 8-byte hello to bind fds to node ids.
-  void setup_mesh(const std::atomic<bool>& stop) {
+  /// Establish the full mesh: dial every lower id and accept every higher
+  /// id, binding fds to node ids with a hello. Dials take the supervisor's
+  /// non-blocking path, so a failed attempt (a peer churning dark
+  /// mid-handshake, say) is re-dialed with backoff. Returns false if the
+  /// cluster stopped first (a peer died, or wait() gave up).
+  bool setup_mesh(const std::atomic<bool>& stop) {
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
-    for (NodeId j = 0; j < self_; ++j) {
-      const crypto::Key* key =
-          opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
-      while (true) {
-        const int fd = connect_with_retry(ports_[j], deadline);
-        if (!recovery_) {
-          write_all(fd, encode_hello(self_, key));
-          if (opts_.nodelay) set_nodelay(fd);
-          set_nonblocking(fd);
-          peers_[j].fd = fd;
-          break;
-        }
-        // Recovery handshakes are two-way and the peer may churn dark in
-        // the middle of one — a dead socket means "connect again", not a
-        // mesh failure.
-        if (bringup_handshake(j, fd, key, deadline)) break;
-      }
-    }
-
-    // Accept the n - 1 - self higher-id initiators.
     set_nonblocking(listen_fd_);
-    std::size_t expected = opts_.n - 1 - self_;
-    struct PendingHello {
-      int fd;
-      std::vector<std::uint8_t> buf;
-    };
-    std::vector<PendingHello> pending;
-    while (expected > 0 && !stop.load(std::memory_order_relaxed)) {
+    for (NodeId j = 0; j < self_; ++j) start_dial(j, peers_[j]);
+    std::size_t missing = opts_.n - 1;
+    while (missing > 0 && !stop.load(std::memory_order_relaxed)) {
       if (Clock::now() >= deadline) throw Error("tcp: mesh setup timeout");
-      std::vector<pollfd> fds;
-      fds.push_back({wake_.fd(), POLLIN, 0});
-      fds.push_back({listen_fd_, POLLIN, 0});
-      for (const auto& ph : pending) fds.push_back({ph.fd, POLLIN, 0});
-      ::poll(fds.data(), fds.size(), 10);
-      if (fds[0].revents != 0) wake_.drain();  // stop re-checked above
-
-      // New connections.
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        if (opts_.nodelay) set_nodelay(fd);
-        set_nonblocking(fd);
-        pending.push_back({fd, {}});
+      supervisor_tick();
+      pollfds_.clear();
+      owners_.clear();
+      pollfds_.push_back({wake_.fd(), POLLIN, 0});
+      pollfds_.push_back({listen_fd_, POLLIN, 0});
+      for (const auto& pa : accepts_) pollfds_.push_back({pa.fd, POLLIN, 0});
+      for (NodeId j = 0; j < self_; ++j) {
+        const Peer& p = peers_[j];
+        if (p.dial_fd < 0) continue;
+        pollfds_.push_back(
+            {p.dial_fd, p.dial_hello_sent ? short(POLLIN) : short(POLLOUT), 0});
+        owners_.push_back({FdKind::kDial, j});
       }
-      // Progress hellos.
-      const std::size_t want = hello_size(opts_.auth, recovery_);
-      for (std::size_t i = 0; i < pending.size();) {
-        auto& ph = pending[i];
-        std::uint8_t tmp[64];
-        const ssize_t k = ::read(ph.fd, tmp, want - ph.buf.size());
-        if (k > 0) {
-          ph.buf.insert(ph.buf.end(), tmp, tmp + k);
-        }
-        if (ph.buf.size() == want) {
-          ByteReader r(ph.buf);
-          const std::uint32_t magic = r.u32();
-          const NodeId who = r.u32();
-          bool genuine = magic == kHelloMagic && who > self_ &&
-                         who < opts_.n && peers_[who].fd < 0;
-          if (genuine && recovery_) {
-            std::uint64_t peer_recv = 0;
-            genuine = check_hello(ph.buf, who, peer_recv);
-            if (genuine) {
-              // Two-way: reply with our receive count (zero at bring-up);
-              // the dialer reads it before sending any frame.
-              const crypto::Key* key =
-                  opts_.auth ? &keys_.channel_key(self_, who) : nullptr;
-              const std::uint64_t recv = peers_[who].recv_count;
-              genuine = write_fully(ph.fd, encode_hello(self_, key, &recv));
-            }
-          } else if (genuine && opts_.auth) {
-            crypto::Digest received;
-            auto tag = r.raw(crypto::kMacTagSize);
-            std::memcpy(received.data(), tag.data(), received.size());
-            const auto expected_tag =
-                hello_tag(keys_.channel_key(self_, who), who);
-            genuine = crypto::digest_equal(expected_tag, received);
-          }
-          if (genuine) {
-            peers_[who].fd = ph.fd;
-            --expected;
-          } else {
-            ::close(ph.fd);  // stranger, forger, or duplicate: reject
-          }
-          pending[i] = pending.back();
-          pending.pop_back();
-        } else if (k == 0) {  // peer hung up mid-hello
-          ::close(ph.fd);
-          pending[i] = pending.back();
-          pending.pop_back();
-        } else {
-          ++i;
-        }
+      ::poll(pollfds_.data(), pollfds_.size(), 10);
+      if (pollfds_[0].revents != 0) wake_.drain();  // stop re-checked above
+      const std::size_t first_dial = pollfds_.size() - owners_.size();
+      for (std::size_t i = 0; i < owners_.size(); ++i) {
+        if (pollfds_[first_dial + i].revents == 0) continue;
+        const NodeId j = owners_[i].idx;
+        missing -= progress_dial(j, peers_[j], /*bringup=*/true) ? 1 : 0;
       }
+      accept_pending();
+      missing -= progress_accepts(/*bringup=*/true);
     }
-    for (const auto& ph : pending) ::close(ph.fd);
-    if (expected > 0) throw Error("tcp: mesh setup interrupted");
-  }
-
-  /// One bring-up attempt of the two-way recovery hello on a freshly
-  /// connected (still blocking) socket. Returns false with the socket
-  /// closed if the peer died mid-handshake — the caller reconnects; throws
-  /// only on the cluster-wide setup deadline.
-  bool bringup_handshake(NodeId j, int fd, const crypto::Key* key,
-                         Clock::time_point deadline) {
-    const std::uint64_t recv = peers_[j].recv_count;
-    const auto hello = encode_hello(self_, key, &recv);
-    std::size_t woff = 0;
-    while (woff < hello.size()) {
-      const ssize_t k = ::write(fd, hello.data() + woff, hello.size() - woff);
-      if (k <= 0) {
-        ::close(fd);
-        return false;
-      }
-      woff += static_cast<std::size_t>(k);
-    }
-    std::vector<std::uint8_t> buf;
-    const std::size_t want = hello_size(opts_.auth, true);
-    while (buf.size() < want) {
-      if (Clock::now() >= deadline) {
-        ::close(fd);
-        throw Error("tcp: mesh setup timeout (hello reply)");
-      }
-      pollfd pf{fd, POLLIN, 0};
-      ::poll(&pf, 1, 10);
-      if (pf.revents == 0) continue;
-      std::uint8_t tmp[64];
-      const ssize_t k = ::read(fd, tmp, want - buf.size());
-      if (k <= 0) {
-        ::close(fd);
-        return false;
-      }
-      buf.insert(buf.end(), tmp, tmp + k);
-    }
-    std::uint64_t peer_recv = 0;
-    if (!check_hello(buf, j, peer_recv)) {
-      ::close(fd);
-      return false;
-    }
-    if (opts_.nodelay) set_nodelay(fd);
-    set_nonblocking(fd);
-    peers_[j].fd = fd;
-    return true;
-  }
-
-  /// Deliver every queued self-message (handlers may enqueue more).
-  void drain_local() {
-    while (!local_.empty()) {
-      auto [channel, msg] = std::move(local_.front());
-      local_.pop_front();
-      dispatch(self_, channel, *msg);
-    }
-  }
-
-  void dispatch(NodeId from, std::uint32_t channel,
-                const net::MessageBody& body) {
-    try {
-      protocol_->on_message(*this, from, channel, body);
-      ++metrics_.msgs_delivered;
-    } catch (const Error&) {
-      ++metrics_.malformed_dropped;
-    }
-  }
-
-  void note_termination() {
-    if (protocol_ == nullptr) return;  // dark window of a snapshot restart
-    if (!done.load(std::memory_order_relaxed) && protocol_->terminated()) {
-      done.store(true, std::memory_order_release);
-      done_wake_.signal();  // wait() blocks on this instead of a timer
-    }
+    for (const auto& pa : accepts_) ::close(pa.fd);
+    accepts_.clear();
+    for (Peer& p : peers_) abort_dial(p);
+    return missing == 0;
   }
 
   /// Event-driven main loop: write everything writable, then block in
@@ -997,15 +600,9 @@ class TcpCluster::Node final : public net::Context {
   /// signal. No sleep ticks anywhere.
   void event_loop(const std::atomic<bool>& stop) {
     while (!stop.load(std::memory_order_relaxed)) {
-      if (recovery_) {
-        churn_tick();
-        if (down_) {
-          park_dark();
-          continue;
-        }
-        supervisor_tick();
-      }
-      if (!held_.empty()) release_held(now_us());
+      if (churn_dark()) continue;
+      if (recovery_) supervisor_tick();
+      if (!held_.empty()) release_held(now());
       flush_pending();
 
       pollfds_.clear();
@@ -1062,11 +659,11 @@ class TcpCluster::Node final : public net::Context {
           }
           case FdKind::kDial:
             if (pollfds_[i].revents != 0) {
-              progress_dial(owner.idx, peers_[owner.idx]);
+              progress_dial(owner.idx, peers_[owner.idx], /*bringup=*/false);
             }
             break;
           case FdKind::kListen:
-            if (pollfds_[i].revents & POLLIN) accept_reconnects();
+            if (pollfds_[i].revents & POLLIN) accept_pending();
             break;
           case FdKind::kAccept:
             // Handled wholesale below: progress_accepts() compacts the
@@ -1074,7 +671,7 @@ class TcpCluster::Node final : public net::Context {
             break;
         }
       }
-      if (recovery_ && !accepts_.empty()) progress_accepts();
+      if (recovery_ && !accepts_.empty()) progress_accepts(false);
       note_termination();
     }
   }
@@ -1088,19 +685,15 @@ class TcpCluster::Node final : public net::Context {
       if (t >= 0 && (at < 0 || t < at)) at = t;
     };
     if (!held_.empty()) consider(held_.top().release);
+    consider(next_down_at());
     if (recovery_) {
-      if (next_window_ < windows_.size()) {
-        consider(windows_[next_window_].down_us);
-      }
       for (const Peer& p : peers_) {
         consider(p.redial_at);
         if (p.dial_fd >= 0) consider(p.dial_deadline);
       }
       for (const auto& pa : accepts_) consider(pa.deadline);
     }
-    if (at < 0) return -1;
-    const SimTime ms = (at - now_us()) / 1000 + 1;
-    return static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000));
+    return poll_ms_until(at);
   }
 
   /// Opportunistic write pass: one gathered writev per peer with pending
@@ -1146,24 +739,14 @@ class TcpCluster::Node final : public net::Context {
       // hellos carry, decodable payload or not (the sender counts frames
       // written the same way).
       if (recovery_) ++p.recv_count;
-      try {
-        ByteReader r(f->payload);
-        const net::MessagePtr msg = decoder_(f->channel, r);
-        r.expect_exhausted();
-        dispatch(from, f->channel, *msg);
-      } catch (const Error&) {
-        ++metrics_.malformed_dropped;  // bad payload only: link stays up
-      }
-      drain_local();
-      note_termination();
+      deliver(from, f->channel, f->payload);
     }
   }
 
   /// Gather queued frames (shared bodies + per-link tags) into iovecs and
   /// push them with as few writev(2) calls as the socket accepts.
   void flush_peer(NodeId j, Peer& p) {
-    const std::size_t tag_len =
-        p.mac.has_value() ? crypto::kMacTagSize : 0;
+    const std::size_t tag_len = auth_ ? crypto::kMacTagSize : 0;
     while (!p.outq.empty()) {
       iov_.clear();
       stage_.clear();
@@ -1249,20 +832,24 @@ class TcpCluster::Node final : public net::Context {
     }
   }
 
-  void close_link(NodeId j, Peer& p) {
-    if (p.fd >= 0) {
-      ::close(p.fd);
-      p.fd = -1;
-    }
+  /// Close p's link (if open) and reset its stream state for the next
+  /// incarnation.
+  void drop_link(NodeId j) {
+    Peer& p = peers_[j];
+    if (p.fd >= 0) ::close(p.fd);
+    p.fd = -1;
     p.outq.clear();
     p.front_written = 0;
     p.blocked = false;
-    if (recovery_ && !down_) {
-      // Supervisor takes over: fresh parser for the next incarnation and,
-      // when we are the link's initiator, a backoff-paced re-dial.
-      p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
-      schedule_redial(j, p, /*reset_backoff=*/true);
-    }
+    p.parser = FrameParser(mac(j));
+  }
+
+  /// A live link died (EOF, hard error, broken stream). In recovery mode the
+  /// supervisor takes over: when we are the link's initiator, a
+  /// backoff-paced re-dial.
+  void close_link(NodeId j, Peer& p) {
+    drop_link(j);
+    if (recovery_) schedule_redial(j, p, /*reset_backoff=*/true);
   }
 
   /// What a pollfds_ entry (beyond the wakeup fd) refers to.
@@ -1272,25 +859,15 @@ class TcpCluster::Node final : public net::Context {
     NodeId idx;  ///< peer id (kPeer/kDial) or accepts_ index (kAccept)
   };
 
-  NodeId self_;
-  Options opts_;
+  /// A copy: the derived cluster's options die before the base joins us.
+  const Options opts_;
   const crypto::KeyStore& keys_;
-  std::vector<std::uint16_t> ports_;
+  const std::vector<std::uint16_t>& ports_;
   int listen_fd_;
-  Clock::time_point epoch_;
-  std::unique_ptr<net::Protocol> protocol_;
-  /// Recreates this node's protocol instance (recovery mode only) — the
-  /// restart path feeds the fresh instance the snapshot bytes.
-  std::function<std::unique_ptr<net::Protocol>()> rebuild_;
-  Decoder decoder_;
-  net::WakeupFd& done_wake_;
-  net::WakeupFd wake_;
-  Rng rng_;
   Rng jitter_rng_;
   bool recovery_ = false;
   std::vector<Peer> peers_;
-  std::priority_queue<HeldFrame, std::vector<HeldFrame>, HeldLater> held_;
-  std::deque<std::pair<std::uint32_t, net::MessagePtr>> local_;
+  HoldbackQueue<PendingFrame> held_;
   /// Pooled scratch reused across the node's lifetime (no per-iteration or
   /// per-read allocations in the steady state).
   std::vector<std::uint8_t> rbuf_;
@@ -1298,153 +875,22 @@ class TcpCluster::Node final : public net::Context {
   std::vector<PollOwner> owners_;
   std::vector<iovec> iov_;
   std::vector<std::uint8_t> stage_;
-  /// This node's own restart schedule (sorted by down_us) and dark state.
-  std::vector<ChurnWindow> windows_;
-  std::size_t next_window_ = 0;
-  bool down_ = false;
-  SimTime up_at_ = 0;
-  SimTime down_since_ = 0;
-  /// Serialized RestartableProtocol state across a dark window.
-  std::vector<std::uint8_t> snapshot_;
-  bool have_snapshot_ = false;
   std::vector<PendingAccept> accepts_;
-  TransportMetrics metrics_;
-  std::string error_;
 };
 
 // ------------------------------------------------------------------ Cluster
 
 TcpCluster::TcpCluster(Options opts)
-    : opts_(opts), keys_(opts.seed, opts.n), ports_(opts.n, 0) {
-  if (opts_.n < 1) throw ConfigError("TcpCluster: n must be >= 1");
+    : SocketCluster(opts, "TcpCluster"), opts_(std::move(opts)) {
   if (!opts_.churn.empty()) opts_.recovery = true;
-  for (const auto& w : opts_.churn) {
-    if (w.id >= opts_.n) {
-      throw ConfigError("TcpCluster: churn id out of range");
-    }
-    if (w.up_us <= w.down_us) {
-      throw ConfigError("TcpCluster: churn window needs up_us > down_us");
-    }
-  }
 }
 
-TcpCluster::~TcpCluster() {
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+int TcpCluster::open_socket(std::uint16_t& port) {
+  return make_listen_socket(port);
 }
 
-void TcpCluster::request_stop() {
-  stop_.store(true);
-  for (auto& node : nodes_) node->wake();
-}
-
-void TcpCluster::start(const ProtocolFactory& factory, Decoder decoder) {
-  DELPHI_ASSERT(!started_, "TcpCluster: start() called twice");
-  started_ = true;
-
-  // Open all listen sockets first so every connect() finds a live backlog.
-  std::vector<int> listen_fds(opts_.n, -1);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    listen_fds[i] = make_listen_socket(ports_[i]);
-  }
-  // One shared epoch so every node's shim schedules partition heals and
-  // burst windows against the same t=0.
-  const auto epoch = Clock::now();
-  nodes_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    std::function<std::unique_ptr<net::Protocol>()> rebuild;
-    if (opts_.recovery) {
-      // The restart path re-creates the protocol from the same factory and
-      // feeds it the snapshot; configuration is the factory's to re-supply.
-      rebuild = [factory, i] { return factory(i); };
-    }
-    nodes_.push_back(std::make_unique<Node>(
-        i, opts_, keys_, ports_, listen_fds[i], epoch, factory(i),
-        std::move(rebuild), decoder, done_wake_));
-  }
-  threads_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    threads_.emplace_back([this, i] { nodes_[i]->run(stop_); });
-  }
-}
-
-bool TcpCluster::wait() {
-  DELPHI_ASSERT(started_, "TcpCluster: wait() before start()");
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
-  // Block on the done wakeup-fd (nodes signal termination transitions and
-  // thread exits) instead of polling flags on a timer.
-  while (true) {
-    bool all_done = true;
-    bool dead_node = false;
-    for (const auto& node : nodes_) {
-      if (node->done.load(std::memory_order_acquire)) continue;
-      all_done = false;
-      // An exited-but-unterminated node (mesh failure, protocol exception)
-      // can never become done, so the run's outcome is already a fixed
-      // false — fail fast instead of sleeping out the deadline.
-      if (node->exited.load(std::memory_order_acquire)) dead_node = true;
-    }
-    if (all_done || dead_node) break;
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) break;
-    pollfd pfd{done_wake_.fd(), POLLIN, 0};
-    // Clamped so arbitrarily large timeouts can't overflow poll's int arg;
-    // the loop re-checks the deadline after every wakeup anyway.
-    ::poll(&pfd, 1,
-           static_cast<int>(std::min<std::int64_t>(remaining.count(), 60'000)));
-    done_wake_.drain();
-  }
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  // With threads joined the flags are final: record who never terminated so
-  // timeouts are diagnosable (which nodes, not just "false").
-  unfinished_.clear();
-  failures_.clear();
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i]->done.load(std::memory_order_acquire)) {
-      unfinished_.push_back(i);
-    }
-    if (!nodes_[i]->error().empty()) {
-      failures_.push_back({i, nodes_[i]->error()});
-    }
-  }
-  joined_ = true;
-  // The joined flags are authoritative (a node may have terminated between
-  // the last poll and the join).
-  return unfinished_.empty();
-}
-
-const std::vector<NodeId>& TcpCluster::unfinished() const {
-  DELPHI_ASSERT(joined_, "TcpCluster: unfinished() before wait()");
-  return unfinished_;
-}
-
-const std::vector<NodeFailure>& TcpCluster::failures() const {
-  DELPHI_ASSERT(joined_, "TcpCluster: failures() before wait()");
-  return failures_;
-}
-
-net::Protocol& TcpCluster::protocol(NodeId id) {
-  DELPHI_ASSERT(joined_, "TcpCluster: protocol() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "TcpCluster: bad node id");
-  return nodes_[id]->protocol();
-}
-
-const TransportMetrics& TcpCluster::metrics(NodeId id) const {
-  DELPHI_ASSERT(joined_, "TcpCluster: metrics() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "TcpCluster: bad node id");
-  return nodes_[id]->metrics();
-}
-
-std::uint16_t TcpCluster::port(NodeId id) const {
-  DELPHI_ASSERT(id < ports_.size(), "TcpCluster: bad node id");
-  return ports_[id];
+std::unique_ptr<SocketNode> TcpCluster::make_node(NodeId id, int fd) {
+  return std::make_unique<Node>(*this, id, fd);
 }
 
 }  // namespace delphi::transport

@@ -1,16 +1,13 @@
 #include "transport/udp.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <map>
 #include <queue>
@@ -24,71 +21,21 @@ namespace delphi::transport {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Selective-ack entries advertised per ack datagram (the cumulative floor
 /// carries the rest; a bounded list keeps acks one small datagram).
 constexpr std::size_t kAckSackLimit = 256;
 
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    sys_fail("fcntl(O_NONBLOCK)");
-  }
-}
-
-sockaddr_in loopback_addr(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return addr;
-}
-
-/// Bind a UDP socket on 127.0.0.1 with an OS-assigned port; non-blocking,
-/// with roomy buffers (a whole burst window may release at one instant).
-int make_udp_socket(std::uint16_t& port_out) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) sys_fail("socket(udp)");
-  sockaddr_in addr = loopback_addr(0);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind(udp)");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    ::close(fd);
-    sys_fail("getsockname(udp)");
-  }
-  port_out = ntohs(addr.sin_port);
+/// Datagram socket on 127.0.0.1:`port` (0 = OS-assigned, written back);
+/// non-blocking, with roomy buffers (a whole burst window may release at
+/// one instant). A restarted node passes its original port — the port is its
+/// published identity (port_to_peer_ on every peer), so a rejoin must
+/// reclaim it exactly.
+int make_udp_socket(std::uint16_t& port) {
+  const int fd = sock::bind_loopback(SOCK_DGRAM, port);
   const int bufsz = 1 << 20;  // best-effort: drops are recoverable anyway
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bufsz, sizeof(bufsz));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bufsz, sizeof(bufsz));
-  set_nonblocking(fd);
-  return fd;
-}
-
-/// Rebind a restarted node's socket on its original port — the port is the
-/// node's published identity (port_to_peer_ on every peer), so a rejoin
-/// must reclaim it exactly.
-int make_udp_socket_on(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) sys_fail("socket(udp rebind)");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind(udp rebind port " + std::to_string(port) + ")");
-  }
-  const int bufsz = 1 << 20;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bufsz, sizeof(bufsz));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bufsz, sizeof(bufsz));
-  set_nonblocking(fd);
+  sock::set_nonblocking(fd);
   return fd;
 }
 
@@ -216,41 +163,19 @@ bool SeqFilter::accept(std::uint32_t seq) {
 
 // --------------------------------------------------------------------- Node
 
-class UdpMesh::Node final : public net::Context {
+class UdpMesh::Node final : public SocketNode {
  public:
-  Node(NodeId self, const Options& opts, const crypto::KeyStore& keys,
-       const std::vector<std::uint16_t>& ports, int sock_fd,
-       Clock::time_point epoch, std::unique_ptr<net::Protocol> protocol,
-       std::function<std::unique_ptr<net::Protocol>()> rebuild,
-       Decoder decoder, net::WakeupFd& done_wake)
-      : self_(self),
-        opts_(opts),
+  Node(UdpMesh& cluster, NodeId self, int sock_fd)
+      : SocketNode(cluster, self, cluster.opts_),
         sock_fd_(sock_fd),
-        own_port_(ports[self]),
-        epoch_(epoch),
-        protocol_(std::move(protocol)),
-        rebuild_(std::move(rebuild)),
-        decoder_(std::move(decoder)),
-        done_wake_(done_wake),
-        rng_(opts.seed ^ (0x9e3779b97f4a7c15ULL * (self + 1))),
-        rto_us_(std::max<std::int64_t>(opts.rto_ms, 1) * 1000) {
-    peers_.resize(opts_.n);
-    for (const auto& w : opts_.churn) {
-      if (w.id == self_) windows_.push_back(w);
-    }
-    std::sort(windows_.begin(), windows_.end(),
-              [](const ChurnWindow& a, const ChurnWindow& b) {
-                return a.down_us < b.down_us;
-              });
-    for (NodeId j = 0; j < opts_.n; ++j) {
+        own_port_(cluster.ports()[self]),
+        rto_us_(std::max<std::int64_t>(cluster.opts_.rto_ms, 1) * 1000),
+        max_unacked_(cluster.opts_.max_unacked) {
+    peers_.resize(n_);
+    for (NodeId j = 0; j < n_; ++j) {
       if (j == self_) continue;
-      Peer& p = peers_[j];
-      p.addr = loopback_addr(ports[j]);
-      if (opts_.auth) p.mac.emplace(keys.channel_key(self_, j));
-      if (opts_.netem.active()) {
-        p.shim = net::netem::LinkShim(opts_.netem, self_, j);
-      }
-      port_to_peer_.emplace(ports[j], j);
+      peers_[j].addr = sock::loopback_addr(cluster.ports()[j]);
+      port_to_peer_.emplace(cluster.ports()[j], j);
     }
     rbuf_.resize(64 * 1024);
   }
@@ -258,72 +183,6 @@ class UdpMesh::Node final : public net::Context {
   ~Node() override {
     if (sock_fd_ >= 0) ::close(sock_fd_);
   }
-
-  // ---- net::Context -------------------------------------------------------
-  NodeId self() const override { return self_; }
-  std::size_t n() const override { return opts_.n; }
-
-  /// Microseconds since cluster start — the clock the netem shim schedules
-  /// against (partition heal times are cluster-relative, like sim time).
-  SimTime now() const override { return now_us(); }
-
-  void send(NodeId to, std::uint32_t channel, net::MessagePtr msg) override {
-    DELPHI_ASSERT(to < opts_.n, "udp send: bad destination");
-    if (to == self_) {
-      local_.emplace_back(channel, std::move(msg));
-      return;
-    }
-    enqueue_frame(to, encode_frame_body(channel, *msg, opts_.auth));
-  }
-
-  void broadcast(std::uint32_t channel, net::MessagePtr msg) override {
-    // One serialization for all destinations (the TCP data plane's shared
-    // immutable body); per-link seq and tag are attached at enqueue.
-    const SharedFrameBody body = encode_frame_body(channel, *msg, opts_.auth);
-    for (NodeId j = 0; j < opts_.n; ++j) {
-      if (j == self_) {
-        local_.emplace_back(channel, msg);
-      } else {
-        enqueue_frame(j, body);
-      }
-    }
-  }
-
-  void charge_compute(SimTime) override {}  // real cycles are already spent
-  Rng& rng() override { return rng_; }
-
-  // ---- lifecycle ----------------------------------------------------------
-
-  void run(const std::atomic<bool>& stop) {
-    try {
-      protocol_->on_start(*this);
-      drain_local();
-      note_termination();
-      event_loop(stop);
-    } catch (const std::exception& e) {
-      error_ = e.what();
-    }
-    if (have_snapshot_) {
-      // Stopped (or died) while dark: rebuild the protocol from its
-      // snapshot so outputs stay harvestable after the join.
-      try {
-        restore_protocol();
-      } catch (const std::exception& e) {
-        if (error_.empty()) error_ = e.what();
-      }
-    }
-    exited.store(true, std::memory_order_release);
-    done_wake_.signal();
-  }
-
-  void wake() noexcept { wake_.signal(); }
-
-  std::atomic<bool> done{false};
-  std::atomic<bool> exited{false};
-
-  net::Protocol& protocol() { return *protocol_; }
-  const TransportMetrics& metrics() const { return metrics_; }
-  const std::string& error() const { return error_; }
 
  private:
   /// One logically-sent, not-yet-acknowledged frame: the shared body, its
@@ -340,8 +199,6 @@ class UdpMesh::Node final : public net::Context {
 
   struct Peer {
     sockaddr_in addr{};
-    std::optional<crypto::HmacKey> mac;
-    net::netem::LinkShim shim;
     // Send side (selective-repeat ARQ).
     std::uint32_t next_seq = 0;
     std::map<std::uint32_t, Unacked> unacked;
@@ -357,112 +214,56 @@ class UdpMesh::Node final : public net::Context {
     std::vector<std::uint32_t> fresh_sacks;
   };
 
-  /// A materialized datagram waiting for its netem release time (or due
-  /// immediately on unshimmed links).
-  struct WireItem {
-    SimTime release = 0;
-    std::uint64_t order = 0;
-    NodeId to = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-  struct WireLater {
-    bool operator()(const WireItem& a, const WireItem& b) const {
-      return a.release != b.release ? a.release > b.release
-                                    : a.order > b.order;
-    }
-  };
-
-  SimTime now_us() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 epoch_)
-        .count();
-  }
-
-  void enqueue_frame(NodeId to, const SharedFrameBody& body) {
+  void enqueue_frame(NodeId to, const SharedFrameBody& body) override {
     Peer& p = peers_[to];
-    // Counted at the logical send only (matches sim's framed_size
-    // accounting); retransmissions, acks, and the kind/seq header are
-    // transport overhead, not protocol traffic.
-    ++metrics_.msgs_sent;
-    metrics_.bytes_sent += frame_wire_size(*body, p.mac.has_value());
     const std::size_t dgram =
-        1 + 4 + body->size() + (p.mac.has_value() ? crypto::kMacTagSize : 0);
+        1 + 4 + body->size() + (auth_ ? crypto::kMacTagSize : 0);
     if (dgram > kMaxDatagramBytes) {
       throw Error("udp: frame of " + std::to_string(dgram) +
                   " bytes exceeds the one-datagram limit");
     }
-    if (p.unacked.size() >= opts_.max_unacked) {
+    if (p.unacked.size() >= max_unacked_) {
       // Typed, loud, and attributable — never a silent drop. The node dies
       // with this message in NodeFailure / RunReport.node_errors.
       throw ResourceExhausted(
           "udp: unacked map for peer " + std::to_string(to) + " hit the cap (" +
-          std::to_string(opts_.max_unacked) + " frames in flight)");
+          std::to_string(max_unacked_) + " frames in flight)");
     }
     const std::uint32_t seq = p.next_seq++;
-    const SimTime at = now_us();
+    const SimTime at = now();
     Unacked u;
     u.body = body;
-    if (p.mac.has_value()) u.tag = udp_frame_tag(*p.mac, seq, *body);
+    if (auth_) u.tag = udp_frame_tag(*mac(to), seq, *body);
     u.at = at;
     p.unacked.emplace(seq, std::move(u));
     p.events.emplace(at, seq);
-  }
-
-  void drain_local() {
-    while (!local_.empty()) {
-      auto [channel, msg] = std::move(local_.front());
-      local_.pop_front();
-      dispatch(self_, channel, *msg);
-    }
-  }
-
-  void dispatch(NodeId from, std::uint32_t channel,
-                const net::MessageBody& body) {
-    try {
-      protocol_->on_message(*this, from, channel, body);
-      ++metrics_.msgs_delivered;
-    } catch (const Error&) {
-      ++metrics_.malformed_dropped;
-    }
-  }
-
-  void note_termination() {
-    if (protocol_ == nullptr) return;  // dark window of a snapshot restart
-    if (!done.load(std::memory_order_relaxed) && protocol_->terminated()) {
-      done.store(true, std::memory_order_release);
-      done_wake_.signal();
-    }
   }
 
   /// Run every due (re)transmission attempt: consult the link shim, park the
   /// materialized datagram on the wire queue until its release time, and
   /// re-arm the frame's retransmission timer.
   void process_out(SimTime now) {
-    for (NodeId j = 0; j < opts_.n; ++j) {
+    for (NodeId j = 0; j < n_; ++j) {
       Peer& p = peers_[j];
-      while (!p.events.empty()) {
-        const auto [at, seq] = p.events.top();
-        const auto it = p.unacked.find(seq);
-        if (it == p.unacked.end() || it->second.at != at) {
-          p.events.pop();  // acked or rescheduled since
-          continue;
-        }
-        if (at > now) break;
+      for (auto it = next_attempt(p);
+           it != p.unacked.end() && it->second.at <= now;
+           it = next_attempt(p)) {
+        const std::uint32_t seq = it->first;
         p.events.pop();
-        const auto v = p.shim.on_send(
-            now, frame_wire_size(*it->second.body, p.mac.has_value()));
+        const auto v = links_[j].shim.on_send(
+            now, frame_wire_size(*it->second.body, auth_));
         const SimTime xmit = std::max(now, v.release_us);
         if (!v.drop) {
           wireq_.push({xmit, v.order, j,
                        encode_data_datagram(
                            seq, *it->second.body,
-                           p.mac.has_value() ? &it->second.tag : nullptr)});
+                           auth_ ? &it->second.tag : nullptr)});
           if (it->second.attempts > 0) {
             // A re-send is the ARQ catching a peer up (drop, dark window,
             // or lost ack) — recovery overhead, never honest traffic.
             ++metrics_.catchup_frames;
             metrics_.catchup_bytes +=
-                frame_wire_size(*it->second.body, p.mac.has_value());
+                frame_wire_size(*it->second.body, auth_);
           }
         }
         // Retransmit after the (possibly shim-delayed) wire time plus an
@@ -483,8 +284,8 @@ class UdpMesh::Node final : public net::Context {
   /// for acks, the peer's duplicate-triggered re-ack — recovers.
   void flush_wire(SimTime now) {
     while (!wireq_.empty() && wireq_.top().release <= now) {
-      const WireItem& w = wireq_.top();
-      ::sendto(sock_fd_, w.bytes.data(), w.bytes.size(), 0,
+      const auto& w = wireq_.top();
+      ::sendto(sock_fd_, w.item.data(), w.item.size(), 0,
                reinterpret_cast<const sockaddr*>(&peers_[w.to].addr),
                sizeof(sockaddr_in));
       wireq_.pop();
@@ -495,7 +296,7 @@ class UdpMesh::Node final : public net::Context {
   /// floor + the freshly accepted seqs above it. Acks ride the shim too (a
   /// partition must block information in both layers).
   void flush_acks(SimTime now) {
-    for (NodeId j = 0; j < opts_.n; ++j) {
+    for (NodeId j = 0; j < n_; ++j) {
       Peer& p = peers_[j];
       if (!p.ack_due) continue;
       p.ack_due = false;
@@ -508,8 +309,8 @@ class UdpMesh::Node final : public net::Context {
       }
       p.fresh_sacks.clear();
       auto bytes = encode_ack_datagram(
-          cum, sack_scratch_, p.mac.has_value() ? &*p.mac : nullptr);
-      const auto v = p.shim.on_send(now, bytes.size());
+          cum, sack_scratch_, mac(j));
+      const auto v = links_[j].shim.on_send(now, bytes.size());
       if (v.drop) continue;
       wireq_.push({std::max(now, v.release_us), v.order, j, std::move(bytes)});
     }
@@ -537,7 +338,7 @@ class UdpMesh::Node final : public net::Context {
     Peer& p = peers_[from];
     DatagramView d;
     try {
-      d = decode_datagram(bytes, p.mac.has_value() ? &*p.mac : nullptr);
+      d = decode_datagram(bytes, mac(from));
     } catch (const Error&) {
       // Truncated, tampered, or forged: a datagram is self-contained, so
       // dropping it poisons nothing (unlike a broken TCP stream).
@@ -555,19 +356,20 @@ class UdpMesh::Node final : public net::Context {
     p.ack_due = true;
     if (!p.filter.accept(d.seq)) return;  // duplicate: re-ack, don't deliver
     p.fresh_sacks.push_back(d.seq);
-    try {
-      ByteReader r(d.payload);
-      const net::MessagePtr msg = decoder_(d.channel, r);
-      r.expect_exhausted();
-      dispatch(from, d.channel, *msg);
-    } catch (const Error&) {
-      // Valid MAC, undecodable payload (a garbage-spraying peer): count and
-      // drop, but keep the seq accepted so it is acked, like the TCP path
-      // keeps the link up.
-      ++metrics_.malformed_dropped;
+    // An undecodable payload keeps its seq accepted, so it is acked.
+    deliver(from, d.channel, d.payload);
+  }
+
+  /// The unacked frame behind p's earliest live attempt (p.unacked.end()
+  /// if none), discarding schedule entries acked or rescheduled since.
+  std::map<std::uint32_t, Unacked>::iterator next_attempt(Peer& p) {
+    while (!p.events.empty()) {
+      const auto [at, seq] = p.events.top();
+      const auto it = p.unacked.find(seq);
+      if (it != p.unacked.end() && it->second.at == at) return it;
+      p.events.pop();
     }
-    drain_local();
-    note_termination();
+    return p.unacked.end();
   }
 
   /// Earliest pending event across the wire queue and every peer's attempt
@@ -575,278 +377,83 @@ class UdpMesh::Node final : public net::Context {
   SimTime next_event() {
     SimTime next = wireq_.empty() ? -1 : wireq_.top().release;
     for (auto& p : peers_) {
-      while (!p.events.empty()) {
-        const auto [at, seq] = p.events.top();
-        const auto it = p.unacked.find(seq);
-        if (it == p.unacked.end() || it->second.at != at) {
-          p.events.pop();
-          continue;
-        }
-        if (next < 0 || at < next) next = at;
-        break;
+      const auto it = next_attempt(p);
+      if (it != p.unacked.end() && (next < 0 || it->second.at < next)) {
+        next = it->second.at;
       }
     }
     return next;
   }
 
-  void event_loop(const std::atomic<bool>& stop) {
+  void serve(const std::atomic<bool>& stop) override {
+    // Every socket was bound before any thread started: no bring-up.
+    start_protocol();
     while (!stop.load(std::memory_order_relaxed)) {
-      if (!windows_.empty()) {
-        churn_tick();
-        if (down_) {
-          park_dark();
-          continue;
-        }
-      }
-      const SimTime now = now_us();
-      process_out(now);
-      flush_wire(now);
+      if (churn_dark()) continue;
+      const SimTime t = now();
+      process_out(t);
+      flush_wire(t);
 
       SimTime next = next_event();
-      if (!down_ && next_window_ < windows_.size() &&
-          (next < 0 || windows_[next_window_].down_us < next)) {
-        next = windows_[next_window_].down_us;
-      }
-      int timeout = -1;
-      if (next >= 0) {
-        const SimTime ms = (next - now_us()) / 1000 + 1;
-        timeout = static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000));
-      }
+      const SimTime down_at = next_down_at();
+      if (down_at >= 0 && (next < 0 || down_at < next)) next = down_at;
       pollfd fds[2] = {{wake_.fd(), POLLIN, 0}, {sock_fd_, POLLIN, 0}};
-      if (::poll(fds, 2, timeout) < 0) {
+      if (::poll(fds, 2, poll_ms_until(next)) < 0) {
         if (errno == EINTR) continue;
-        sys_fail("poll(udp)");
+        sock::sys_fail("poll(udp)");
       }
       if (fds[0].revents != 0) wake_.drain();  // stop re-checked above
       if (fds[1].revents & (POLLIN | POLLERR)) drain_socket();
-      flush_acks(now_us());
+      flush_acks(now());
     }
-  }
-
-  // ---- churn --------------------------------------------------------------
-
-  /// Drive this node's own restart schedule.
-  void churn_tick() {
-    if (!down_ && next_window_ < windows_.size() &&
-        now_us() >= windows_[next_window_].down_us) {
-      go_down(windows_[next_window_].up_us);
-      ++next_window_;
-    }
-    if (down_ && now_us() >= up_at_) come_up();
   }
 
   /// Dark: close the socket — datagrams to this node vanish (peers' ARQ
   /// keeps retransmitting) and nothing is sent. The ARQ/SeqFilter state
-  /// lives in this object and survives; a RestartableProtocol is
-  /// serialized and destroyed, proving the snapshot path end to end.
-  void go_down(SimTime up_at) {
-    down_ = true;
-    up_at_ = up_at;
-    down_since_ = now_us();
+  /// lives in this object and survives.
+  void close_io() override {
     if (sock_fd_ >= 0) {
       ::close(sock_fd_);
       sock_fd_ = -1;
     }
-    if (rebuild_) {
-      if (auto* rp =
-              dynamic_cast<net::RestartableProtocol*>(protocol_.get())) {
-        ByteWriter w(256);
-        rp->snapshot(w);
-        snapshot_ = w.take();
-        have_snapshot_ = true;
-        protocol_.reset();
-      }
-    }
   }
 
-  /// Rejoin: rebind the SAME port (the node's identity on every peer's
-  /// port_to_peer_ map), restore the protocol, and let the ARQ catch
-  /// everyone up — our due retransmissions flow out, peers' reach the
-  /// fresh socket.
-  void come_up() {
-    down_ = false;
-    metrics_.downtime_us += static_cast<std::uint64_t>(now_us() - down_since_);
-    sock_fd_ = make_udp_socket_on(own_port_);
+  /// Rejoin on the SAME port (the node's identity on every peer's
+  /// port_to_peer_ map) and let the ARQ catch everyone up — our due
+  /// retransmissions flow out, peers' reach the fresh socket.
+  void reopen_io() override {
+    std::uint16_t port = own_port_;
+    sock_fd_ = make_udp_socket(port);
     ++metrics_.reconnects;
-    if (have_snapshot_) restore_protocol();
-    drain_local();
-    note_termination();
   }
 
-  void restore_protocol() {
-    protocol_ = rebuild_();
-    auto* rp = dynamic_cast<net::RestartableProtocol*>(protocol_.get());
-    DELPHI_ASSERT(rp != nullptr, "udp restart: factory lost snapshot support");
-    ByteReader r(snapshot_);
-    rp->restore(r);
-    snapshot_.clear();
-    have_snapshot_ = false;
-  }
-
-  /// The dark window: nothing to do but wait for the restart clock or the
-  /// cluster stop signal (re-checked by the caller's loop on return).
-  void park_dark() {
-    const SimTime ms = (up_at_ - now_us()) / 1000 + 1;
-    pollfd pf{wake_.fd(), POLLIN, 0};
-    ::poll(&pf, 1, static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000)));
-    if (pf.revents != 0) wake_.drain();
-  }
-
-  NodeId self_;
-  Options opts_;
   int sock_fd_;
   std::uint16_t own_port_;
-  Clock::time_point epoch_;
-  std::unique_ptr<net::Protocol> protocol_;
-  /// Recreates this node's protocol (churn restarts feed it the snapshot).
-  std::function<std::unique_ptr<net::Protocol>()> rebuild_;
-  Decoder decoder_;
-  net::WakeupFd& done_wake_;
-  net::WakeupFd wake_;
-  Rng rng_;
   SimTime rto_us_;
-  /// This node's own restart schedule (sorted by down_us) and dark state.
-  std::vector<ChurnWindow> windows_;
-  std::size_t next_window_ = 0;
-  bool down_ = false;
-  SimTime up_at_ = 0;
-  SimTime down_since_ = 0;
-  std::vector<std::uint8_t> snapshot_;
-  bool have_snapshot_ = false;
+  std::size_t max_unacked_;
   std::vector<Peer> peers_;
   std::unordered_map<std::uint16_t, NodeId> port_to_peer_;
-  std::priority_queue<WireItem, std::vector<WireItem>, WireLater> wireq_;
-  std::deque<std::pair<std::uint32_t, net::MessagePtr>> local_;
+  /// Materialized datagrams waiting for their netem release time (due
+  /// immediately on unshimmed links).
+  HoldbackQueue<std::vector<std::uint8_t>> wireq_;
   /// Pooled scratch (no steady-state allocations beyond datagram buffers).
   std::vector<std::uint8_t> rbuf_;
   std::vector<std::uint32_t> sack_scratch_;
-  TransportMetrics metrics_;
-  std::string error_;
 };
 
 // --------------------------------------------------------------------- Mesh
 
 UdpMesh::UdpMesh(Options opts)
-    : opts_(opts), keys_(opts.seed, opts.n), ports_(opts.n, 0) {
-  if (opts_.n < 1) throw ConfigError("UdpMesh: n must be >= 1");
+    : SocketCluster(opts, "UdpMesh"), opts_(std::move(opts)) {
   if (opts_.max_unacked < 1) {
     throw ConfigError("UdpMesh: max_unacked must be >= 1");
   }
-  for (const auto& w : opts_.churn) {
-    if (w.id >= opts_.n) throw ConfigError("UdpMesh: churn id out of range");
-    if (w.up_us <= w.down_us) {
-      throw ConfigError("UdpMesh: churn window needs up_us > down_us");
-    }
-  }
 }
 
-UdpMesh::~UdpMesh() {
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-}
+int UdpMesh::open_socket(std::uint16_t& port) { return make_udp_socket(port); }
 
-void UdpMesh::request_stop() {
-  stop_.store(true);
-  for (auto& node : nodes_) node->wake();
-}
-
-void UdpMesh::start(const ProtocolFactory& factory, Decoder decoder) {
-  DELPHI_ASSERT(!started_, "UdpMesh: start() called twice");
-  started_ = true;
-
-  // Bind every socket before any thread runs: the source port is the node
-  // identity, and a datagram sent to an unbound port would just vanish.
-  std::vector<int> socks(opts_.n, -1);
-  for (NodeId i = 0; i < opts_.n; ++i) socks[i] = make_udp_socket(ports_[i]);
-
-  // One shared epoch so every node's shim schedules partition heals and
-  // burst windows against the same t=0 (like sim time).
-  const auto epoch = Clock::now();
-  nodes_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    std::function<std::unique_ptr<net::Protocol>()> rebuild;
-    if (!opts_.churn.empty()) {
-      rebuild = [factory, i] { return factory(i); };
-    }
-    nodes_.push_back(std::make_unique<Node>(i, opts_, keys_, ports_, socks[i],
-                                            epoch, factory(i),
-                                            std::move(rebuild), decoder,
-                                            done_wake_));
-  }
-  threads_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    threads_.emplace_back([this, i] { nodes_[i]->run(stop_); });
-  }
-}
-
-bool UdpMesh::wait() {
-  DELPHI_ASSERT(started_, "UdpMesh: wait() before start()");
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
-  while (true) {
-    bool all_done = true;
-    bool dead_node = false;
-    for (const auto& node : nodes_) {
-      if (node->done.load(std::memory_order_acquire)) continue;
-      all_done = false;
-      if (node->exited.load(std::memory_order_acquire)) dead_node = true;
-    }
-    if (all_done || dead_node) break;
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                              Clock::now());
-    if (remaining.count() <= 0) break;
-    pollfd pfd{done_wake_.fd(), POLLIN, 0};
-    ::poll(&pfd, 1,
-           static_cast<int>(
-               std::min<std::int64_t>(remaining.count(), 60'000)));
-    done_wake_.drain();
-  }
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  unfinished_.clear();
-  failures_.clear();
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i]->done.load(std::memory_order_acquire)) {
-      unfinished_.push_back(i);
-    }
-    if (!nodes_[i]->error().empty()) {
-      failures_.push_back({i, nodes_[i]->error()});
-    }
-  }
-  joined_ = true;
-  return unfinished_.empty();
-}
-
-const std::vector<NodeId>& UdpMesh::unfinished() const {
-  DELPHI_ASSERT(joined_, "UdpMesh: unfinished() before wait()");
-  return unfinished_;
-}
-
-const std::vector<NodeFailure>& UdpMesh::failures() const {
-  DELPHI_ASSERT(joined_, "UdpMesh: failures() before wait()");
-  return failures_;
-}
-
-net::Protocol& UdpMesh::protocol(NodeId id) {
-  DELPHI_ASSERT(joined_, "UdpMesh: protocol() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "UdpMesh: bad node id");
-  return nodes_[id]->protocol();
-}
-
-const TransportMetrics& UdpMesh::metrics(NodeId id) const {
-  DELPHI_ASSERT(joined_, "UdpMesh: metrics() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "UdpMesh: bad node id");
-  return nodes_[id]->metrics();
-}
-
-std::uint16_t UdpMesh::port(NodeId id) const {
-  DELPHI_ASSERT(id < ports_.size(), "UdpMesh: bad node id");
-  return ports_[id];
+std::unique_ptr<SocketNode> UdpMesh::make_node(NodeId id, int fd) {
+  return std::make_unique<Node>(*this, id, fd);
 }
 
 }  // namespace delphi::transport

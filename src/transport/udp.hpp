@@ -3,6 +3,10 @@
 /// UDP datagram deployment of the protocol state machines — the lossy-network
 /// counterpart of transport/tcp.hpp, sharing its framed wire format,
 /// pairwise-HMAC authentication, and one-thread-per-node poll(2) event loops.
+/// The node lifecycle itself (protocol hosting, termination, churn
+/// snapshot/restore, start/wait/stop) is the shared transport/socket_node.hpp
+/// core; this module keeps the datagram codec, the ARQ, SeqFilter and the
+/// wire queue.
 ///
 /// Design (one frame per datagram):
 ///   * Each node owns ONE UDP socket bound to 127.0.0.1:<os-assigned>; all
@@ -35,21 +39,14 @@
 /// The datagram codec below is exposed for tests (fuzz_decode_test feeds it
 /// truncated/corrupt datagrams) and the bench; UdpMesh is the cluster.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "crypto/hmac.hpp"
-#include "net/netem.hpp"
-#include "net/protocol.hpp"
-#include "net/wakeup.hpp"
-#include "transport/frame.hpp"
-#include "transport/tcp.hpp"  // Decoder, TransportMetrics
+#include "transport/socket_node.hpp"
 
 namespace delphi::transport {
 
@@ -124,22 +121,14 @@ class SeqFilter {
 };
 
 /// A full-mesh UDP cluster of n nodes, one OS thread each, on 127.0.0.1 —
-/// the same lifecycle and observer API as TcpCluster:
-///
-///   UdpMesh mesh(opts);
-///   mesh.start(factory, decoder);
-///   bool ok = mesh.wait();
-///   auto& p = mesh.protocol(i);
-class UdpMesh {
+/// the same SocketCluster lifecycle and observers as TcpCluster.
+/// metrics() counts logical sends only: retransmissions and acks are not
+/// traffic. A node dark under `churn` closes its socket (datagrams to it
+/// vanish) and rebinds the SAME port at up_us — the port is the node's
+/// identity, so peers' ARQ retransmissions find it again with no handshake.
+class UdpMesh final : public SocketCluster {
  public:
-  struct Options {
-    std::size_t n = 4;
-    /// HMAC-authenticate every datagram (pairwise keys from `seed`).
-    bool auth = true;
-    /// Master secret / per-node RNG / netem schedule seed.
-    std::uint64_t seed = 1;
-    /// wait() gives up after this many milliseconds of wall time.
-    std::int64_t timeout_ms = 30'000;
+  struct Options : SocketOptions {
     /// Retransmission timeout for unacked frames (loopback RTT is tens of
     /// µs; this only bounds recovery latency after a drop). Retransmission
     /// attempts back off exponentially from this base (doubling per
@@ -152,69 +141,19 @@ class UdpMesh {
     /// enough that honest runs (including churn restarts) stay far below
     /// it; tiny values let tests exercise the exhaustion path.
     std::size_t max_unacked = 65'536;
-    /// Network emulation applied per directed link (inert by default).
-    net::netem::Config netem;
-    /// Churn schedule (wall µs since cluster start): a dark node closes its
-    /// socket (datagrams to it vanish) and rebinds the SAME port at up_us —
-    /// the port is the node's identity, so peers' ARQ retransmissions find
-    /// it again with no handshake. A RestartableProtocol is snapshotted at
-    /// down and restored from bytes at up.
-    std::vector<ChurnWindow> churn;
   };
 
-  using ProtocolFactory = net::ProtocolFactory;
-
   explicit UdpMesh(Options opts);
-  ~UdpMesh();
-
-  UdpMesh(const UdpMesh&) = delete;
-  UdpMesh& operator=(const UdpMesh&) = delete;
-
-  /// Bind every node's socket, create protocols, spawn node threads, and
-  /// start every protocol. Call exactly once.
-  void start(const ProtocolFactory& factory, Decoder decoder);
-
-  /// Block until every node's protocol terminated or the timeout expires,
-  /// then stop and join all threads. Returns true iff all terminated.
-  bool wait();
-
-  /// Node ids whose protocols had not terminated when wait() gave up (empty
-  /// iff wait() returned true). Only safe after wait() returned.
-  const std::vector<NodeId>& unfinished() const;
-
-  /// Nodes whose threads died with an error (exception text — e.g. the
-  /// typed ResourceExhausted of an unacked-map overflow), in ascending id
-  /// order. Only safe after wait() returned.
-  const std::vector<NodeFailure>& failures() const;
-
-  /// Node i's protocol. Only safe after wait() returned.
-  net::Protocol& protocol(NodeId id);
-
-  /// Node i's transport counters (logical sends only: retransmissions and
-  /// acks are not traffic). Only safe after wait() returned.
-  const TransportMetrics& metrics(NodeId id) const;
-
-  /// Resolved UDP port of node i (set by start()).
-  std::uint16_t port(NodeId id) const;
 
   const Options& options() const noexcept { return opts_; }
 
  private:
   class Node;
 
-  void request_stop();
+  int open_socket(std::uint16_t& port) override;
+  std::unique_ptr<SocketNode> make_node(NodeId id, int fd) override;
 
   Options opts_;
-  crypto::KeyStore keys_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::thread> threads_;
-  std::vector<std::uint16_t> ports_;
-  std::vector<NodeId> unfinished_;
-  std::vector<NodeFailure> failures_;
-  std::atomic<bool> stop_{false};
-  net::WakeupFd done_wake_;
-  bool started_ = false;
-  bool joined_ = false;
 };
 
 }  // namespace delphi::transport

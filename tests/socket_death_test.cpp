@@ -6,8 +6,10 @@
 ///     keeps running to completion;
 ///   * garbage datagrams from an unknown source against a live UDP mesh are
 ///     dropped without disturbing agreement;
-///   * a node thread that dies surfaces WHICH node failed and WHY (exception
-///     text) through the cluster's failures(), instead of a bare timeout;
+///   * on both substrates, through the shared SocketCluster lifecycle: a
+///     node thread that dies surfaces WHICH node failed and WHY (exception
+///     text) through failures(), instead of a bare timeout; dead threads
+///     make wait() fail fast; and Context::now() counts µs since start();
 ///   * the UDP unacked-map cap is a typed ResourceExhausted at the send
 ///     boundary — never a silent drop — and the failure is attributed to the
 ///     exhausted node.
@@ -197,29 +199,94 @@ TEST(AbruptPeerDeath, UdpDropsDatagramsFromUnknownSources) {
   EXPECT_TRUE(mesh.failures().empty());
 }
 
-// -------------------------------------------------- thread-death attribution
+// ---------------------------------------- shared lifecycle, both substrates
 
-TEST(NodeFailureSurfacing, TcpNamesTheDeadNodeAndCause) {
-  TcpCluster::Options opts;
-  opts.n = 4;
-  opts.timeout_ms = 1'000;
-  TcpCluster cluster(opts);
-  cluster.start(
+/// Records ctx.now() at on_start, then terminates.
+class NowProbe final : public net::Protocol {
+ public:
+  void on_start(net::Context& ctx) override { started_at = ctx.now(); }
+  void on_message(net::Context&, NodeId, std::uint32_t,
+                  const net::MessageBody&) override {}
+  bool terminated() const override { return started_at >= 0; }
+
+  SimTime started_at = -1;
+};
+
+class SocketLifecycle : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::unique_ptr<SocketCluster> make_cluster(std::size_t n,
+                                              std::int64_t timeout_ms) const {
+    SocketOptions base;
+    base.n = n;
+    base.timeout_ms = timeout_ms;
+    if (GetParam() == "tcp") {
+      TcpCluster::Options opts;
+      static_cast<SocketOptions&>(opts) = base;
+      return std::make_unique<TcpCluster>(opts);
+    }
+    UdpMesh::Options opts;
+    static_cast<SocketOptions&>(opts) = base;
+    return std::make_unique<UdpMesh>(opts);
+  }
+};
+
+TEST_P(SocketLifecycle, NamesTheDeadNodeAndCause) {
+  const auto cluster = make_cluster(4, 1'000);
+  cluster->start(
       [](NodeId i) -> std::unique_ptr<net::Protocol> {
         if (i == 3) return std::make_unique<Exploder>();
         return std::make_unique<sim::SilentProtocol>();
       },
       byte_decoder());
-  EXPECT_FALSE(cluster.wait());
-  ASSERT_EQ(cluster.failures().size(), 1u);
-  EXPECT_EQ(cluster.failures()[0].id, 3u);
-  EXPECT_NE(cluster.failures()[0].message.find("exploding on purpose"),
+  EXPECT_FALSE(cluster->wait());
+  ASSERT_EQ(cluster->failures().size(), 1u);
+  EXPECT_EQ(cluster->failures()[0].id, 3u);
+  EXPECT_NE(cluster->failures()[0].message.find("exploding on purpose"),
             std::string::npos)
-      << cluster.failures()[0].message;
+      << cluster->failures()[0].message;
   // The dead node is also an unfinished straggler — failures() explains it.
-  ASSERT_EQ(cluster.unfinished().size(), 1u);
-  EXPECT_EQ(cluster.unfinished()[0], 3u);
+  ASSERT_EQ(cluster->unfinished().size(), 1u);
+  EXPECT_EQ(cluster->unfinished()[0], 3u);
 }
+
+TEST_P(SocketLifecycle, DeadNodeThreadsFailFastInsteadOfSleepingOutDeadline) {
+  // Every protocol throws in on_start, so every node thread dies without
+  // terminating. wait() must notice the exited threads and return false
+  // well before the 30 s deadline — no timer tick, just the done wakeup.
+  const auto cluster = make_cluster(3, 30'000);
+  const auto t0 = std::chrono::steady_clock::now();
+  cluster->start([](NodeId) { return std::make_unique<Exploder>(); },
+                 byte_decoder());
+  EXPECT_FALSE(cluster->wait());
+  const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LT(wall.count(), 5'000);
+  EXPECT_EQ(cluster->unfinished().size(), 3u);
+}
+
+TEST_P(SocketLifecycle, NowCountsMicrosecondsSinceStart) {
+  // The simulator's meaning of now(): µs since the run started, not an
+  // absolute clock reading.
+  const auto cluster = make_cluster(3, 20'000);
+  const auto t0 = std::chrono::steady_clock::now();
+  cluster->start([](NodeId) { return std::make_unique<NowProbe>(); },
+                 byte_decoder());
+  ASSERT_TRUE(cluster->wait());
+  const auto elapsed_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  for (NodeId i = 0; i < 3; ++i) {
+    const SimTime at =
+        dynamic_cast<const NowProbe&>(cluster->protocol(i)).started_at;
+    EXPECT_GE(at, 0) << "node " << i;
+    EXPECT_LE(at, elapsed_us) << "node " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Substrates, SocketLifecycle,
+                         ::testing::Values("tcp", "udp"),
+                         [](const auto& p) { return p.param; });
 
 // ----------------------------------------------------- UDP unacked-map cap
 

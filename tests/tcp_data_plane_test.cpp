@@ -10,7 +10,6 @@
 
 #include <poll.h>
 
-#include <chrono>
 #include <string>
 
 #include "net/message.hpp"
@@ -319,35 +318,6 @@ TEST(CrossSubstrate, NodelayKnobAcceptedOnTcp) {
   EXPECT_EQ(round_trip, spec);
   const auto rep = TcpRuntime().run(spec);
   EXPECT_TRUE(rep.ok);
-}
-
-// ------------------------------------------------------------- fail-fast
-
-TEST(TcpCluster2, DeadNodeThreadsFailFastInsteadOfSleepingOutDeadline) {
-  // Every protocol throws in on_start, so every node thread dies without
-  // terminating. wait() must notice the exited threads and return false
-  // well before the 30 s deadline — no timer tick, just the done wakeup.
-  class Throws final : public net::Protocol {
-   public:
-    void on_start(net::Context&) override { throw Error("boom"); }
-    void on_message(net::Context&, NodeId, std::uint32_t,
-                    const net::MessageBody&) override {}
-    bool terminated() const override { return false; }
-  };
-  TcpCluster::Options opts;
-  opts.n = 3;
-  opts.timeout_ms = 30'000;
-  TcpCluster cluster(opts);
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.start([](NodeId) { return std::make_unique<Throws>(); },
-                [](std::uint32_t, ByteReader&) -> net::MessagePtr {
-                  throw SerializationError("unused");
-                });
-  EXPECT_FALSE(cluster.wait());
-  const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - t0);
-  EXPECT_LT(wall.count(), 5'000);
-  EXPECT_EQ(cluster.unfinished().size(), 3u);
 }
 
 // ------------------------------------------------------- wakeup primitive
