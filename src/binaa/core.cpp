@@ -1,25 +1,80 @@
 #include "binaa/core.hpp"
 
-#include <algorithm>
-
 namespace delphi::binaa {
 
-BinAaCore::BinAaCore(const Config& cfg) : cfg_(cfg) {
+BinAaCore::BinAaCore(const Config& cfg)
+    : cfg_(cfg), set_words_(static_cast<std::uint32_t>((cfg.n + 63) / 64)) {
   DELPHI_ASSERT(cfg_.n > 3 * cfg_.t, "BinAA requires n > 3t");
   DELPHI_ASSERT(cfg_.r_max >= 1 && cfg_.r_max <= 62, "BinAA r_max in [1,62]");
+}
+
+void BinAaCore::alloc_rounds() {
+  // A started core walks every round, so the first touch sizes the records
+  // and a typical pool (three round sets plus ~two value sets per round).
   rounds_.resize(cfg_.r_max);
+  pool_.reserve(std::size_t{5} * cfg_.r_max * set_words_);
 }
 
 void BinAaCore::init_round(Round& rs) {
   rs.initialized = true;
-  rs.e1_seen_once = NodeBitset(cfg_.n);
-  rs.e1_seen_twice = NodeBitset(cfg_.n);
-  rs.e2_senders = NodeBitset(cfg_.n);
+  rs.e1_seen_once = new_set();
+  rs.e1_seen_twice = new_set();
+  rs.e2_senders = new_set();
+}
+
+std::uint32_t BinAaCore::new_set() {
+  const auto offset = static_cast<std::uint32_t>(pool_.size());
+  pool_.resize(pool_.size() + set_words_, 0);
+  return offset;
+}
+
+BinAaCore::Spill* BinAaCore::find_spill(std::uint32_t round, List list,
+                                        ScaledValue v) {
+  for (Spill& s : spill_) {
+    if (s.round == round && s.list == list && s.tally.value == v) return &s;
+  }
+  return nullptr;
+}
+
+BinAaCore::Tally* BinAaCore::find_tally(Tally* inl, std::uint8_t used,
+                                        std::uint32_t round, List list,
+                                        ScaledValue v) {
+  for (std::uint8_t i = 0; i < used; ++i) {
+    if (inl[i].value == v) return &inl[i];
+  }
+  if (used < kInline) return nullptr;  // spilling starts once slots are full
+  Spill* s = find_spill(round, list, v);
+  return s != nullptr ? &s->tally : nullptr;
+}
+
+BinAaCore::Tally& BinAaCore::add_tally(Tally* inl, std::uint8_t& used,
+                                       std::uint32_t round, List list,
+                                       ScaledValue v, bool with_set) {
+  const Tally fresh{v, with_set ? new_set() : 0, 0};
+  if (used < kInline) {
+    inl[used] = fresh;
+    return inl[used++];
+  }
+  spill_.push_back(Spill{fresh, round, list});
+  return spill_.back().tally;
+}
+
+bool BinAaCore::note_sent(Round& rs, std::uint32_t round, ScaledValue v) {
+  for (std::uint8_t i = 0; i < rs.n_sent; ++i) {
+    if (rs.sent[i] == v) return false;
+  }
+  if (rs.n_sent < kInline) {
+    rs.sent[rs.n_sent++] = v;
+    return true;
+  }
+  if (find_spill(round, List::kSent, v) != nullptr) return false;
+  spill_.push_back(Spill{Tally{v, 0, 0}, round, List::kSent});
+  return true;
 }
 
 bool BinAaCore::valid_value(std::uint32_t round, ScaledValue v) const {
   if (v < 0 || v > scale()) return false;
-  return v % granularity(round) == 0;
+  return (v & (granularity(round) - 1)) == 0;  // granularity is a power of 2
 }
 
 void BinAaCore::start(bool input, std::vector<EchoAction>& out) {
@@ -32,8 +87,7 @@ void BinAaCore::start(bool input, std::vector<EchoAction>& out) {
 
 void BinAaCore::begin_round(std::vector<EchoAction>& out) {
   Round& rs = round_state(round_);
-  if (!contains_value(rs.e1_sent, state_value_)) {
-    rs.e1_sent.push_back(state_value_);
+  if (note_sent(rs, round_, state_value_)) {
     out.push_back(EchoAction{/*kind=*/1, round_, state_value_});
   }
 }
@@ -50,43 +104,40 @@ void BinAaCore::on_echo(std::uint8_t kind, std::uint32_t round,
 
   Round& rs = round_state(round);
   if (kind == 1) {
-    ValueVotes* votes = find_votes(rs.e1, value);
-    if (votes != nullptr && votes->senders.contains(from)) {
+    Tally* votes = find_tally(rs.e1, rs.n_e1, round, List::kEcho1, value);
+    if (votes != nullptr && set_contains(votes->senders, from)) {
       return;  // duplicate (value, sender)
     }
     // A sender is counted for at most two distinct ECHO1 values per round —
     // honest nodes never send more (own value + one amplification), so the
     // cap only sheds Byzantine multi-voting.
-    if (rs.e1_seen_twice.contains(from)) return;
-    if (!rs.e1_seen_once.insert(from)) rs.e1_seen_twice.insert(from);
+    if (set_contains(rs.e1_seen_twice, from)) return;
+    if (!set_insert(rs.e1_seen_once, from)) set_insert(rs.e1_seen_twice, from);
     if (votes == nullptr) {
-      rs.e1.push_back(ValueVotes{value, NodeBitset(cfg_.n)});
-      votes = &rs.e1.back();
+      votes = &add_tally(rs.e1, rs.n_e1, round, List::kEcho1, value,
+                         /*with_set=*/true);
     }
-    votes->senders.insert(from);
+    set_insert(votes->senders, from);
     // Threshold-crossing gate: exactly one vote arrived, so a trigger can
     // only newly fire when *this* value's tally just reached t+1 (Bracha
     // amplification) or n-t (ECHO2 send / round advance) — every other
     // tally, and hence every other trigger input, is unchanged. Counts move
     // in steps of one, so crossings coincide with equality.
-    const std::size_t tally = votes->senders.count();
+    const std::size_t tally = ++votes->count;
     if (tally == cfg_.t + 1 || tally == cfg_.n - cfg_.t) {
       run_triggers(round, out);
       if (started_) try_advance(out);
     }
   } else {
-    if (!rs.e2_senders.insert(from)) return;  // one ECHO2 per sender
-    ValueVotes* votes = find_votes(rs.e2, value);
+    if (!set_insert(rs.e2_senders, from)) return;  // one ECHO2 per sender
+    Tally* votes = find_tally(rs.e2, rs.n_e2, round, List::kEcho2, value);
     if (votes == nullptr) {
-      rs.e2.push_back(ValueVotes{value, NodeBitset(cfg_.n)});
-      votes = &rs.e2.back();
+      votes = &add_tally(rs.e2, rs.n_e2, round, List::kEcho2, value,
+                         /*with_set=*/false);
     }
-    votes->senders.insert(from);
     // ECHO2s never feed run_triggers (it reads only ECHO1 state); advance
     // condition (2) can only newly hold at its n-t crossing.
-    if (votes->senders.count() == cfg_.n - cfg_.t && started_) {
-      try_advance(out);
-    }
+    if (++votes->count == cfg_.n - cfg_.t && started_) try_advance(out);
   }
 }
 
@@ -94,56 +145,54 @@ void BinAaCore::run_triggers(std::uint32_t round, std::vector<EchoAction>& out) 
   Round& rs = round_state(round);
 
   // Bracha-style amplification: t+1 ECHO1s for a value we haven't echoed.
-  for (const auto& votes : rs.e1) {
-    if (votes.senders.count() >= cfg_.t + 1 &&
-        !contains_value(rs.e1_sent, votes.value)) {
-      rs.e1_sent.push_back(votes.value);
+  // note_sent may spill, which is why walk hands out copies.
+  walk(rs.e1, rs.n_e1, round, List::kEcho1, [&](Tally votes) {
+    if (votes.count >= cfg_.t + 1 && note_sent(rs, round, votes.value)) {
       out.push_back(EchoAction{/*kind=*/1, round, votes.value});
     }
-  }
+    return false;
+  });
 
   // ECHO2 once some value gathers n-t ECHO1s (at most one ECHO2 per round).
   if (!rs.e2_sent) {
-    for (const auto& votes : rs.e1) {
-      if (votes.senders.count() >= cfg_.n - cfg_.t) {
-        rs.e2_sent = true;
-        out.push_back(EchoAction{/*kind=*/2, round, votes.value});
-        break;
-      }
-    }
+    walk(rs.e1, rs.n_e1, round, List::kEcho1, [&](Tally votes) {
+      if (votes.count < cfg_.n - cfg_.t) return false;
+      rs.e2_sent = true;
+      out.push_back(EchoAction{/*kind=*/2, round, votes.value});
+      return true;
+    });
   }
 }
 
 void BinAaCore::try_advance(std::vector<EchoAction>& out) {
-  while (!done_) {
+  for (;;) {
     Round& rs = round_state(round_);
+    const std::size_t quorum = cfg_.n - cfg_.t;
 
     ScaledValue next = 0;
     bool advanced = false;
 
     // Condition (2): n-t ECHO2s for one value -> adopt it.
-    for (const auto& votes : rs.e2) {
-      if (votes.senders.count() >= cfg_.n - cfg_.t) {
-        next = votes.value;
-        advanced = true;
-        break;
-      }
-    }
+    walk(rs.e2, rs.n_e2, round_, List::kEcho2, [&](Tally votes) {
+      if (votes.count < quorum) return false;
+      next = votes.value;
+      advanced = true;
+      return true;
+    });
 
     // Condition (1): n-t ECHO1s for two values -> adopt the midpoint.
     if (!advanced) {
-      ScaledValue v1 = 0, v2 = 0;
+      ScaledValue v[2] = {0, 0};
       int found = 0;
-      for (const auto& votes : rs.e1) {
-        if (votes.senders.count() >= cfg_.n - cfg_.t) {
-          (found == 0 ? v1 : v2) = votes.value;
-          if (++found == 2) break;
-        }
-      }
+      walk(rs.e1, rs.n_e1, round_, List::kEcho1, [&](Tally votes) {
+        if (votes.count < quorum) return false;
+        v[found++] = votes.value;
+        return found == 2;
+      });
       if (found == 2) {
         // Two same-granularity dyadics sum to an even scaled number for all
         // rounds < r_max, so the midpoint is exact.
-        next = (v1 + v2) / 2;
+        next = (v[0] + v[1]) / 2;
         advanced = true;
       }
     }
@@ -154,12 +203,20 @@ void BinAaCore::try_advance(std::vector<EchoAction>& out) {
     if (round_ == cfg_.r_max) {
       done_ = true;
       round_ = cfg_.r_max + 1;
+      release_rounds();
       return;
     }
     ++round_;
     begin_round(out);
     // Loop: buffered echoes for the new round may already complete it.
   }
+}
+
+void BinAaCore::release_rounds() {
+  // Swap, not clear(): the point is to return the capacity.
+  std::vector<Round>().swap(rounds_);
+  std::vector<std::uint64_t>().swap(pool_);
+  std::vector<Spill>().swap(spill_);
 }
 
 ScaledValue BinAaCore::output_scaled() const {

@@ -20,11 +20,33 @@
 ///  * Validity    — outputs lie inside the convex hull of honest inputs
 ///                  (0-relaxed); in particular unanimous input is decided.
 ///  * eps-Agreement — honest outputs differ by < 2^-r_max.
+///
+/// State layout. A Delphi node runs dozens of cores per agreement and an
+/// oracle mesh runs agreement after agreement, so the quorum state is flat
+/// and is given back when the core finishes:
+///  * One word pool per core holds every n-bit sender set at a word offset:
+///    per round, the ECHO1 seen-once, ECHO1 seen-twice and ECHO2 sender
+///    sets, plus one set per tallied ECHO1 value. (An ECHO2 tally needs only
+///    a count: the round's ECHO2 sender set already admits each sender once.)
+///  * A round record holds its first two ECHO1 tallies, ECHO2 tallies and
+///    sent values inline. Honest senders only ever echo a round's two (or
+///    fewer) honest state values, so honest runs never outgrow the record.
+///  * Further values — only Byzantine senders produce them — spill into one
+///    per-core list in arrival order; a round's list is its inline entries
+///    followed by its spilled ones, which keeps iteration order, emitted
+///    actions and wire bytes identical to per-round vectors. Entries are
+///    addressed by index, never by pointer, across anything that may append
+///    to the spill list.
+///  * Nothing is allocated until the core is first touched (start or echo);
+///    a round's sender sets are carved from the pool when that round is.
+///
+/// Release invariant: once done(), a core holds no round records, pool or
+/// spill list — only its output and round. Every later echo is ignored
+/// (on_echo returns on done), so nothing reads the released state.
 
 #include <cstdint>
 #include <vector>
 
-#include "common/bitset.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
 
@@ -86,43 +108,41 @@ class BinAaCore {
   const Config& config() const noexcept { return cfg_; }
 
  private:
-  /// Senders supporting one value (flat storage: a handful of distinct
-  /// values per round in honest runs, each with an n-bit sender set).
-  struct ValueVotes {
+  /// Inline list entries per round record (see the file comment).
+  static constexpr std::uint8_t kInline = 2;
+
+  /// Which per-round list a spilled entry extends.
+  enum class List : std::uint8_t { kEcho1, kEcho2, kSent };
+
+  /// Votes for one value: the pool offset of its sender set (ECHO1 only)
+  /// and the number of senders counted.
+  struct Tally {
     ScaledValue value = 0;
-    NodeBitset senders;
+    std::uint32_t senders = 0;
+    std::uint32_t count = 0;
+  };
+
+  /// A list entry past its round's inline slots (a sent value uses only
+  /// tally.value).
+  struct Spill {
+    Tally tally;
+    std::uint32_t round = 0;
+    List list = List::kEcho1;
   };
 
   struct Round {
-    /// ECHO1 votes per value; a sender is counted for at most
-    /// kMaxValuesPerSender distinct values (honest nodes send <= 2).
-    std::vector<ValueVotes> e1;
-    NodeBitset e1_seen_once;   ///< senders with >= 1 counted ECHO1 value
-    NodeBitset e1_seen_twice;  ///< senders with 2 counted ECHO1 values
-    /// ECHO2 votes per value; at most one ECHO2 counted per sender.
-    std::vector<ValueVotes> e2;
-    NodeBitset e2_senders;
-    /// Values we already ECHO1'd (initial + amplification).
-    std::vector<ScaledValue> e1_sent;
+    Tally e1[kInline];         ///< first ECHO1 values, in arrival order
+    Tally e2[kInline];         ///< first ECHO2 values, in arrival order
+    ScaledValue sent[kInline] = {};  ///< values we ECHO1'd (initial + amplified)
+    std::uint32_t e1_seen_once = 0;   ///< senders with >= 1 counted ECHO1
+    std::uint32_t e1_seen_twice = 0;  ///< senders with 2 counted ECHO1s
+    std::uint32_t e2_senders = 0;     ///< senders with a counted ECHO2
+    std::uint8_t n_e1 = 0;
+    std::uint8_t n_e2 = 0;
+    std::uint8_t n_sent = 0;
     bool e2_sent = false;
     bool initialized = false;
   };
-
-  static constexpr std::uint8_t kMaxValuesPerSender = 2;
-
-  static ValueVotes* find_votes(std::vector<ValueVotes>& vv, ScaledValue v) {
-    for (auto& e : vv) {
-      if (e.value == v) return &e;
-    }
-    return nullptr;
-  }
-  static bool contains_value(const std::vector<ScaledValue>& xs,
-                             ScaledValue v) {
-    for (auto x : xs) {
-      if (x == v) return true;
-    }
-    return false;
-  }
 
   /// Granularity of round r values: scale >> (r-1).
   ScaledValue granularity(std::uint32_t round) const {
@@ -130,25 +150,75 @@ class BinAaCore {
   }
   bool valid_value(std::uint32_t round, ScaledValue v) const;
 
-  /// Fast-path inline: this is hit for every echo of every bundle; only the
-  /// one-time bitset setup stays out of line.
+  /// Fast-path inline: this is hit for every echo of every bundle; creating
+  /// records and sets stays out of line.
   Round& round_state(std::uint32_t r) {
     DELPHI_ASSERT(r >= 1 && r <= cfg_.r_max, "BinAA round out of range");
+    if (rounds_.empty()) alloc_rounds();
     Round& rs = rounds_[r - 1];
     if (!rs.initialized) init_round(rs);
     return rs;
   }
+  void alloc_rounds();
   void init_round(Round& rs);
+
+  // Sender sets in pool_, addressed by word offset (pool_ may reallocate).
+  std::uint32_t new_set();
+  bool set_contains(std::uint32_t set, NodeId id) const {
+    return (pool_[set + id / 64] >> (id % 64)) & 1;
+  }
+  bool set_insert(std::uint32_t set, NodeId id) {
+    std::uint64_t& w = pool_[set + id / 64];
+    const std::uint64_t mask = std::uint64_t{1} << (id % 64);
+    if (w & mask) return false;
+    w |= mask;
+    return true;
+  }
+
+  /// The spilled entry for `v` in a round's list, or nullptr. Pointers
+  /// into spill_ are valid until its next append.
+  Spill* find_spill(std::uint32_t round, List list, ScaledValue v);
+  /// The tally for `v` in a round's ECHO1 or ECHO2 list, or nullptr.
+  Tally* find_tally(Tally* inl, std::uint8_t used, std::uint32_t round,
+                    List list, ScaledValue v);
+  /// Append a tally for `v` (with a fresh sender set when `with_set`).
+  Tally& add_tally(Tally* inl, std::uint8_t& used, std::uint32_t round,
+                   List list, ScaledValue v, bool with_set);
+  /// Visit a round's ECHO1 or ECHO2 tallies in arrival order until `fn`
+  /// returns true. `fn` gets a copy and may append to spill_: the walk
+  /// re-indexes spill_ on every step.
+  template <typename Fn>
+  void walk(const Tally* inl, std::uint8_t used, std::uint32_t round,
+            List list, Fn&& fn) {
+    for (std::uint8_t i = 0; i < used; ++i) {
+      if (fn(Tally{inl[i]})) return;
+    }
+    if (used < kInline) return;  // spilling starts once the slots are full
+    for (std::size_t j = 0; j < spill_.size(); ++j) {
+      if (spill_[j].round == round && spill_[j].list == list &&
+          fn(Tally{spill_[j].tally})) {
+        return;
+      }
+    }
+  }
+  /// Record that we ECHO1'd `v` in `round`; false if we already had.
+  bool note_sent(Round& rs, std::uint32_t round, ScaledValue v);
+
   void run_triggers(std::uint32_t round, std::vector<EchoAction>& out);
   void try_advance(std::vector<EchoAction>& out);
   void begin_round(std::vector<EchoAction>& out);
+  /// Give back every round record, the pool and the spill list (done()).
+  void release_rounds();
 
   Config cfg_;
   bool started_ = false;
   bool done_ = false;
   std::uint32_t round_ = 0;       // 0 = not started
   ScaledValue state_value_ = 0;   // b_{i, round_}
-  std::vector<Round> rounds_;     // index r-1, lazily initialized bitsets
+  std::uint32_t set_words_ = 0;   // words per sender set: ceil(n / 64)
+  std::vector<Round> rounds_;     // index r-1; empty until first touched
+  std::vector<std::uint64_t> pool_;
+  std::vector<Spill> spill_;
 };
 
 }  // namespace delphi::binaa

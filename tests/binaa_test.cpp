@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
+#include <deque>
 
 #include "binaa/core.hpp"
 #include "binaa/delta_codec.hpp"
@@ -268,6 +271,222 @@ TEST(BinAa, ConfigValidation) {
 TEST(BinAa, OutputBeforeTerminationThrows) {
   BinAaCore core(BinAaCore::Config{4, 1, 8});
   EXPECT_THROW((void)core.output(), InternalError);
+}
+
+TEST(BinAa, FinishedCoreIgnoresEveryEcho) {
+  // A finished core keeps only its output and round: every later echo, of
+  // any kind, round, valid value and sender, must be a no-op. (Under the
+  // ASan build this also catches a read of the released round state.)
+  const std::size_t n = 4;
+  const std::uint32_t r_max = 5;
+  BinAaCore core(BinAaCore::Config{n, 1, r_max});
+  std::vector<EchoAction> pending;
+  core.start(true, pending);
+  while (!pending.empty()) {
+    const std::vector<EchoAction> batch = std::move(pending);
+    pending.clear();
+    for (const EchoAction& a : batch) {
+      for (NodeId from = 0; from < n; ++from) {
+        core.on_echo(a.kind, a.round, a.value, from, pending);
+      }
+    }
+  }
+  ASSERT_TRUE(core.done());
+  const ScaledValue output = core.output_scaled();
+  const std::uint32_t round = core.current_round();
+
+  std::vector<EchoAction> out;
+  for (std::uint8_t kind = 1; kind <= 2; ++kind) {
+    for (std::uint32_t r = 1; r <= r_max; ++r) {
+      const ScaledValue g = core.scale() >> (r - 1);
+      for (ScaledValue v = 0; v <= core.scale(); v += g) {
+        for (NodeId from = 0; from < n; ++from) {
+          core.on_echo(kind, r, v, from, out);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(core.output_scaled(), output);
+  EXPECT_EQ(core.current_round(), round);
+  EXPECT_EQ(round, r_max + 1);
+}
+
+// ------------------------------------------------ adversarial core goldens --
+//
+// The sim goldens pin honest and crash runs only, so they never reach the
+// core's Byzantine paths: more than two ECHO1/ECHO2 values in a round, more
+// than two amplified values, duplicates, echoes for rounds ahead of the core
+// and garbage. Each seed below drives one core (n = 10, t = 3, r_max = 6)
+// through such a stream, looping the core's own echoes back from node 0, and
+// pins every action it emitted plus where it ended.
+//
+// Regenerating after an *intentional* behaviour change:
+//   ./build/binaa_test --gtest_also_run_disabled_tests
+//       --gtest_filter='*RegenerateCoreGoldens*'   (one command line)
+// then paste the printed kCoreGoldens initializer over the one below.
+
+/// What one stream did to the core: an FNV-1a digest over every emitted
+/// action tagged with the step that emitted it, the final round, and the
+/// output (-1 when the stream ended before the core finished).
+struct CoreTrace {
+  std::uint64_t digest;
+  std::uint32_t round;
+  ScaledValue output;
+
+  bool operator==(const CoreTrace&) const = default;
+};
+
+void fnv_mix(std::uint64_t& h, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (x >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+CoreTrace run_adversarial_stream(std::uint64_t seed) {
+  constexpr std::size_t kN = 10;
+  constexpr std::uint32_t kRMax = 6;
+  constexpr std::size_t kSteps = 1200;
+  BinAaCore core(BinAaCore::Config{kN, 3, kRMax});
+  const ScaledValue scale = core.scale();
+  Rng rng(seed);
+
+  // Four clustered valid values per round (clamped, so some coincide): the
+  // first is favoured, so quorums form and the core moves through rounds.
+  std::vector<std::array<ScaledValue, 4>> cand(kRMax + 1);
+  for (std::uint32_t r = 1; r <= kRMax; ++r) {
+    const ScaledValue g = scale >> (r - 1);
+    const auto base = static_cast<ScaledValue>(rng.below((1u << (r - 1)) + 1)) * g;
+    const ScaledValue offs[4] = {0, g, -g, 2 * g};
+    for (int c = 0; c < 4; ++c) {
+      cand[r][c] = std::clamp<ScaledValue>(base + offs[c], 0, scale);
+    }
+  }
+
+  std::deque<EchoAction> own;  // our echoes, looped back in order
+  std::vector<EchoAction> out;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const std::size_t start_at = rng.below(40);  // some echoes arrive first
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    if (step == start_at) {
+      core.start(rng.coin(), out);
+    } else if (!own.empty() && rng.below(3) == 0) {
+      const EchoAction a = own.front();
+      own.pop_front();
+      core.on_echo(a.kind, a.round, a.value, 0, out);
+    } else {
+      const std::uint64_t k = rng.below(16);
+      const auto kind = static_cast<std::uint8_t>(k == 0 ? 3 * rng.below(2)
+                                                  : k < 10 ? 1 : 2);
+      const std::uint32_t cur =
+          std::clamp<std::uint32_t>(core.current_round(), 1, kRMax);
+      const std::uint32_t round =
+          rng.below(8) == 0
+              ? static_cast<std::uint32_t>(rng.below(kRMax + 2))
+              : static_cast<std::uint32_t>(std::max<std::int64_t>(
+                    1, static_cast<std::int64_t>(cur) + rng.range(-1, 2)));
+      ScaledValue value = 0;
+      const std::uint64_t pick = rng.below(20);
+      if (pick == 0) {
+        value = rng.range(-3, scale + 3);  // mostly garbage
+      } else if (round >= 1 && round <= kRMax) {
+        value = cand[round][pick < 15 ? 0 : pick < 17 ? 1 : pick % 2 + 2];
+      }
+      const auto from = static_cast<NodeId>(rng.below(kN + 1));
+      core.on_echo(kind, round, value, from, out);
+    }
+    for (const EchoAction& a : out) {
+      fnv_mix(h, step);
+      fnv_mix(h, a.kind);
+      fnv_mix(h, a.round);
+      fnv_mix(h, static_cast<std::uint64_t>(a.value));
+      own.push_back(a);
+    }
+    out.clear();
+  }
+  return {h, core.current_round(), core.done() ? core.output_scaled() : -1};
+}
+
+constexpr std::uint64_t kCoreGoldenSeeds = 50;
+
+const std::vector<CoreTrace>& core_goldens() {
+  static const std::vector<CoreTrace> kCoreGoldens = {
+      {0x2e28cf168a0e5207ULL, 7, 8},
+      {0x5ebca3acdf10a0c8ULL, 7, 14},
+      {0x5306a2fec22aaf56ULL, 3, -1},
+      {0xe8dddf95a2ad7869ULL, 6, -1},
+      {0x5774498ce460b4adULL, 7, 50},
+      {0x1796942c5b5ec286ULL, 7, 3},
+      {0x44a1c67df6365fb5ULL, 7, 56},
+      {0x2cdcc4adbe6a65baULL, 5, -1},
+      {0xfe002e9c18e6c2ffULL, 6, -1},
+      {0xb4f85d000070b086ULL, 5, -1},
+      {0x5721390696cfc3e1ULL, 4, -1},
+      {0x9dd3b6495d6eb8caULL, 5, -1},
+      {0xb8048fdf9ad38d45ULL, 7, 27},
+      {0xc2bd2c54284174c8ULL, 7, 50},
+      {0xe25dff57d8fbe54bULL, 7, 12},
+      {0x4f33016b49e5576aULL, 7, 46},
+      {0xf72552776ad18926ULL, 7, 62},
+      {0x3e2ef78e2b59fc40ULL, 7, 32},
+      {0xf4677dd473064f0cULL, 6, -1},
+      {0xf5afef374145447eULL, 7, 5},
+      {0x389a1054824f2800ULL, 7, 0},
+      {0xe119ecd450795d3bULL, 7, 20},
+      {0x9ed34cb155583ac9ULL, 3, -1},
+      {0xc73293c775f99e2aULL, 7, 10},
+      {0x0e1b53bf66489486ULL, 6, -1},
+      {0x3a4c92d1c3badae4ULL, 7, 39},
+      {0x0297408e69c1e748ULL, 4, -1},
+      {0x752e0d9324f246d2ULL, 3, -1},
+      {0x44c6f1d3464eeb36ULL, 4, -1},
+      {0xcf2b3332d038a3f3ULL, 7, 10},
+      {0xa1b4139a313a3424ULL, 6, -1},
+      {0x606af5b89eca1d75ULL, 3, -1},
+      {0x5af72759e8bc5863ULL, 3, -1},
+      {0x2396db34ece82510ULL, 3, -1},
+      {0xdc736a9a89196df3ULL, 7, 3},
+      {0xb3d1da1b6738d700ULL, 7, 30},
+      {0x9601668c2cdf9e4bULL, 7, 18},
+      {0xe6cd0ef5dff37880ULL, 3, -1},
+      {0x2be086812b70c8d5ULL, 6, -1},
+      {0x4de40c9e3c7a2767ULL, 2, -1},
+      {0x0f0e01a4238a4c61ULL, 4, -1},
+      {0x7e37e21eee66d78eULL, 7, 50},
+      {0x75c4851d1eac4b26ULL, 3, -1},
+      {0xee92306c53914364ULL, 5, -1},
+      {0x787a043c742dbbf1ULL, 2, -1},
+      {0xdc7e9ef047004cffULL, 4, -1},
+      {0x88b3137baf2dc1f0ULL, 7, 22},
+      {0xf95492c4dc36a479ULL, 4, -1},
+      {0x9084badcf4505513ULL, 3, -1},
+      {0x3e02497728980ed4ULL, 6, -1},
+  };
+  return kCoreGoldens;
+}
+
+TEST(BinAaCoreGolden, AdversarialStreamsEmitPinnedActions) {
+  const auto& goldens = core_goldens();
+  ASSERT_EQ(goldens.size(), kCoreGoldenSeeds);
+  for (std::uint64_t seed = 1; seed <= kCoreGoldenSeeds; ++seed) {
+    const CoreTrace got = run_adversarial_stream(seed);
+    const CoreTrace& want = goldens[seed - 1];
+    EXPECT_EQ(got.digest, want.digest) << "seed " << seed;
+    EXPECT_EQ(got.round, want.round) << "seed " << seed;
+    EXPECT_EQ(got.output, want.output) << "seed " << seed;
+  }
+}
+
+TEST(BinAaCoreGolden, DISABLED_RegenerateCoreGoldens) {
+  std::printf("  static const std::vector<CoreTrace> kCoreGoldens = {\n");
+  for (std::uint64_t seed = 1; seed <= kCoreGoldenSeeds; ++seed) {
+    const CoreTrace c = run_adversarial_stream(seed);
+    std::printf("      {0x%016llxULL, %u, %lld},\n",
+                static_cast<unsigned long long>(c.digest), c.round,
+                static_cast<long long>(c.output));
+  }
+  std::printf("  };\n");
 }
 
 }  // namespace

@@ -5,16 +5,35 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <cmath>
 
 #include "delphi/delphi.hpp"
+#include "net/mux.hpp"
+#include "scenario/spec.hpp"
 #include "sim/byzantine.hpp"
 #include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::protocol {
 namespace {
+
+// Sanitizer builds replace malloc, so mallinfo2 says nothing about our heap.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedHeap = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizedHeap = true;
+#else
+constexpr bool kSanitizedHeap = false;
+#endif
+#else
+constexpr bool kSanitizedHeap = false;
+#endif
 
 DelphiParams small_params(double delta_max = 64.0) {
   DelphiParams p;
@@ -377,6 +396,63 @@ TEST(Delphi, WorksWithNegativeInputSpace) {
   ASSERT_TRUE(outcome.all_honest_terminated);
   std::vector<double> inputs = {-330.0, -330.5, -331.0, -331.5};
   expect_guarantees(inputs, outcome.honest_outputs, p, "negative-space");
+}
+
+/// Live heap in KB, read as the perf probe reads it: arena bytes in use plus
+/// mmapped blocks.
+long heap_in_use_kb() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<long>((mi.uordblks + mi.hblkhd) / 1024);
+#else
+  return -1;
+#endif
+}
+
+TEST(Delphi, FinishedAgreementsRetainBoundedHeap) {
+  // The oracle mesh is long-lived: a feed of agreements must not keep each
+  // finished agreement's BinAA vote state. 64 sequential agreements at n = 4
+  // (the perf tcp-feed parameters) on the simulator, nodes kept alive after
+  // run(): the heap they hold is bounded per node-instance.
+  if (kSanitizedHeap || heap_in_use_kb() < 0) {
+    GTEST_SKIP() << "heap accounting needs glibc malloc without a sanitizer";
+  }
+  constexpr std::size_t n = 4;
+  constexpr std::uint32_t kInstances = 64;
+  DelphiParams p;
+  p.space_min = 0.0;
+  p.space_max = 200'000.0;
+  p.rho0 = 10.0;
+  p.eps = 2.0;
+  p.delta_max = 2'000.0;
+  const DelphiProtocol::Config c = proto_cfg(n, p);
+  std::vector<std::vector<double>> inputs;
+  for (std::uint32_t sid = 0; sid < kInstances; ++sid) {
+    inputs.push_back(scenario::clustered_inputs(n, 40'000.0, 20.0, 11 + sid));
+  }
+  net::SessionMux::Config mux;
+  mux.expected = kInstances;
+  mux.mode = net::SessionMux::Mode::kSequential;
+
+  const long before_kb = heap_in_use_kb();
+  sim::Simulator sim(test::async_config(n, 7));
+  for (NodeId i = 0; i < n; ++i) {
+    sim.add_node(std::make_unique<net::SessionMux>(
+        mux, [&c, &inputs, i](std::uint32_t sid) {
+          return std::make_unique<DelphiProtocol>(c, inputs[sid][i]);
+        }));
+  }
+  ASSERT_TRUE(sim.run());
+  const double kb_per_node_instance =
+      static_cast<double>(heap_in_use_kb() - before_kb) / (n * kInstances);
+  EXPECT_LE(kb_per_node_instance, 16.0);
+  for (NodeId i = 0; i < n; ++i) {
+    const auto& node = sim.node_as<net::SessionMux>(i);
+    for (std::uint32_t sid = 0; sid < kInstances; ++sid) {
+      ASSERT_NE(node.session(sid), nullptr);
+      EXPECT_TRUE(node.session(sid)->terminated());
+    }
+  }
 }
 
 TEST(Delphi, SingleLevelConfiguration) {
