@@ -3,14 +3,18 @@
 /// invariant (shared body + per-link tag == legacy whole-frame encoding,
 /// byte for byte), FrameParser buffer reuse across the lazy-compaction
 /// boundary and under many-small-frames bursts, authenticated-link tamper
-/// rejection, and cross-substrate equivalence (TCP honest bytes and outputs
-/// against the simulator's framed_size accounting) for rbc / dolev / delphi.
+/// rejection, cross-substrate equivalence (TCP honest bytes and outputs
+/// against the simulator's framed_size accounting) for rbc / dolev / delphi,
+/// and send-path backpressure (a sender that fills the socket buffer until
+/// write(2) returns EAGAIN must still deliver every frame in order).
 
 #include <gtest/gtest.h>
 
 #include <poll.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "net/message.hpp"
 #include "net/wakeup.hpp"
@@ -318,6 +322,120 @@ TEST(CrossSubstrate, NodelayKnobAcceptedOnTcp) {
   EXPECT_EQ(round_trip, spec);
   const auto rep = TcpRuntime().run(spec);
   EXPECT_TRUE(rep.ok);
+}
+
+// ------------------------------------------------ send-path backpressure
+
+/// Payload sizes the backpressure sender cycles through: both sides of 256 B
+/// and one body larger than a node's 64 KiB read buffer.
+constexpr std::size_t kBackpressureSizes[] = {1, 64, 255, 257, 300, 70'000};
+constexpr std::size_t kBackpressureFrames = 3'000;
+
+/// Byte i of backpressure frame k: a receiver that sees frames out of order,
+/// torn or spliced reads a different pattern.
+std::uint8_t pattern_byte(std::size_t k, std::size_t i) {
+  return static_cast<std::uint8_t>(k * 131 + i * 7 + (i >> 8));
+}
+
+/// An opaque payload carried verbatim.
+class Blob final : public net::MessageBody {
+ public:
+  explicit Blob(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
+  std::size_t wire_size() const override { return bytes_.size(); }
+  void serialize(ByteWriter& w) const override { w.raw(bytes_); }
+  std::string debug() const override { return "blob"; }
+  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+/// Node 0 queues every frame for node 1 at start, far more than a socket
+/// buffer holds; node 1 stalls in its first handler, so node 0's writes hit
+/// EAGAIN and wait for POLLOUT. Node 1 checks each frame against the
+/// pattern for its arrival index.
+class Backpressure final : public net::Protocol {
+ public:
+  explicit Backpressure(bool receiver) : receiver_(receiver) {}
+
+  void on_start(net::Context& ctx) override {
+    if (ctx.self() != 0) return;
+    for (std::size_t k = 0; k < kBackpressureFrames; ++k) {
+      std::vector<std::uint8_t> bytes(
+          kBackpressureSizes[k % std::size(kBackpressureSizes)]);
+      for (std::size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = pattern_byte(k, i);
+      }
+      ctx.send(1, 0, std::make_shared<Blob>(std::move(bytes)));
+    }
+  }
+  void on_message(net::Context&, NodeId from, std::uint32_t,
+                  const net::MessageBody& body) override {
+    if (received_ == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    const auto& bytes = dynamic_cast<const Blob&>(body).bytes();
+    const std::size_t k = received_++;
+    bool exact =
+        from == 0 &&
+        bytes.size() == kBackpressureSizes[k % std::size(kBackpressureSizes)];
+    for (std::size_t i = 0; exact && i < bytes.size(); ++i) {
+      exact = bytes[i] == pattern_byte(k, i);
+    }
+    if (!exact) ++mismatched_;
+  }
+  bool terminated() const override {
+    return !receiver_ || received_ >= kBackpressureFrames;
+  }
+
+  std::size_t received() const { return received_; }
+  std::size_t mismatched() const { return mismatched_; }
+
+ private:
+  bool receiver_;
+  std::size_t received_ = 0;
+  std::size_t mismatched_ = 0;
+};
+
+/// Run the backpressure exchange on a 2-node cluster, authenticated and
+/// plaintext, with `netem` on every link.
+void run_backpressure(const net::netem::Config& netem) {
+  for (const bool auth : {true, false}) {
+    SCOPED_TRACE(auth);
+    TcpCluster::Options opts;
+    opts.n = 2;
+    opts.auth = auth;
+    opts.timeout_ms = 20'000;
+    opts.netem = netem;
+    TcpCluster cluster(opts);
+    cluster.start(
+        [](NodeId i) { return std::make_unique<Backpressure>(i == 1); },
+        [](std::uint32_t, ByteReader& r) -> net::MessagePtr {
+          const auto s = r.raw(r.remaining());
+          return std::make_shared<Blob>(
+              std::vector<std::uint8_t>(s.begin(), s.end()));
+        });
+    ASSERT_TRUE(cluster.wait());
+    ASSERT_TRUE(cluster.failures().empty());
+    const auto& rx = dynamic_cast<const Backpressure&>(cluster.protocol(1));
+    EXPECT_EQ(rx.received(), kBackpressureFrames);
+    EXPECT_EQ(rx.mismatched(), 0u);
+    EXPECT_EQ(cluster.metrics(1).msgs_delivered, kBackpressureFrames);
+    EXPECT_EQ(cluster.metrics(1).malformed_dropped, 0u);
+  }
+}
+
+TEST(TcpBackpressure, FullSocketBufferKeepsFramesOrderedAndExact) {
+  run_backpressure({});
+}
+
+TEST(TcpBackpressure, FramesQueuedBehindAPartialWriteStayOrdered) {
+  // A 50 B/us token bucket releases the ~35 MB over ~700 ms, in send
+  // order, so frames keep joining the link's buffer while the receiver
+  // stalls and then drains the bytes written before them.
+  net::netem::Config netem;
+  netem.rate_bytes_per_us = 50.0;
+  run_backpressure(netem);
 }
 
 // ------------------------------------------------------- wakeup primitive
