@@ -28,6 +28,16 @@ namespace {
 /// bit-for-bit).
 constexpr std::uint64_t kDefaultCoinSeed = 0xF1A5C0;
 
+/// Ceiling on `rounds` and `dims`, which size per-round and per-dimension
+/// state up front: far above any configuration in use (at most 10).
+constexpr std::int64_t kMaxStateCount = 1'000;
+
+/// Seeds travel as doubles, which hold every integer up to 2^53 exactly.
+constexpr std::int64_t kMaxSeed = std::int64_t{1} << 53;
+
+/// Ceiling on a simulated compute charge: an hour per operation, in µs.
+constexpr std::int64_t kMaxComputeUs = 3'600'000'000;
+
 /// Delphi-family parameter block from the spec's params (AWS-figure
 /// defaults; every knob overridable per spec).
 protocol::DelphiParams delphi_params(const ScenarioSpec& spec) {
@@ -38,6 +48,17 @@ protocol::DelphiParams delphi_params(const ScenarioSpec& spec) {
   p.eps = spec.param("eps", 2.0);
   p.delta_max = spec.param("delta-max", 2'000.0);
   return p;
+}
+
+/// The common coin's seed and its simulated per-flip cost (aba, acs).
+std::uint64_t coin_seed(const ScenarioSpec& spec) {
+  return static_cast<std::uint64_t>(spec.int_param(
+      "coin-seed", static_cast<std::int64_t>(kDefaultCoinSeed), 0, kMaxSeed));
+}
+
+SimTime coin_us(const ScenarioSpec& spec) {
+  return spec.int_param("coin-us", default_coin_cost(spec.testbed, spec.n), 0,
+                        kMaxComputeUs);
 }
 
 /// Binary-protocol input: is this node's reading above the workload center?
@@ -78,7 +99,8 @@ ProtocolInfo make_binaa_info() {
     binaa::BinAaProtocol::Config c;
     c.core.n = spec.n;
     c.core.t = spec.t;
-    c.core.r_max = static_cast<std::uint32_t>(spec.param("r-max", 10.0));
+    c.core.r_max =
+        static_cast<std::uint32_t>(spec.int_param("r-max", 10, 1, 62));
     // The compact VAL codec needs FIFO links: pass fifo=1 alongside it on
     // the sim substrate (TCP is FIFO by nature).
     c.compact = spec.param("compact", 0.0) != 0.0;
@@ -102,7 +124,8 @@ ProtocolInfo make_abraham_info() {
     abraham::AbrahamProtocol::Config c;
     c.n = spec.n;
     c.t = spec.t;
-    c.rounds = static_cast<std::uint32_t>(spec.param("rounds", 10.0));
+    c.rounds = static_cast<std::uint32_t>(
+        spec.int_param("rounds", 10, 1, kMaxStateCount));
     c.space_min = spec.param("space-min", 0.0);
     c.space_max = spec.param("space-max", 200'000.0);
     return [c, inputs = std::move(inputs)](NodeId i) {
@@ -123,7 +146,8 @@ ProtocolInfo make_dolev_info() {
     dolev::DolevProtocol::Config c;
     c.n = spec.n;
     c.t = spec.t;
-    c.rounds = static_cast<std::uint32_t>(spec.param("rounds", 10.0));
+    c.rounds = static_cast<std::uint32_t>(
+        spec.int_param("rounds", 10, 1, kMaxStateCount));
     c.space_min = spec.param("space-min", -1e18);
     c.space_max = spec.param("space-max", 1e18);
     return [c, inputs = std::move(inputs)](NodeId i) {
@@ -147,7 +171,10 @@ ProtocolInfo make_benor_info() {
     benor::BenOrProtocol::Config c;
     c.n = spec.n;
     c.t = spec.t;
-    c.max_rounds = static_cast<std::uint32_t>(spec.param("max-rounds", 4096.0));
+    // Rounds are allocated as they are reached; the budget only needs a
+    // ceiling well above its default.
+    c.max_rounds = static_cast<std::uint32_t>(
+        spec.int_param("max-rounds", 4096, 1, 65'536));
     std::vector<bool> bits(spec.n);
     for (NodeId i = 0; i < spec.n; ++i) bits[i] = binary_input(spec, inputs, i);
     return [c, bits = std::move(bits)](NodeId i) {
@@ -166,16 +193,13 @@ ProtocolInfo make_aba_info() {
   ProtocolInfo info;
   info.make_factory = [](const ScenarioSpec& spec,
                          std::vector<double> inputs) -> net::ProtocolFactory {
-    auto coin = std::make_shared<crypto::CommonCoin>(static_cast<std::uint64_t>(
-        spec.param("coin-seed", static_cast<double>(kDefaultCoinSeed))));
+    auto coin = std::make_shared<crypto::CommonCoin>(coin_seed(spec));
     aba::AbaInstance::Config c;
     c.n = spec.n;
     c.t = spec.t;
     c.instance_id = spec.seed;
     c.coin = coin.get();
-    c.coin_compute_us = static_cast<SimTime>(spec.param(
-        "coin-us",
-        static_cast<double>(default_coin_cost(spec.testbed, spec.n))));
+    c.coin_compute_us = coin_us(spec);
     std::vector<bool> bits(spec.n);
     for (NodeId i = 0; i < spec.n; ++i) bits[i] = binary_input(spec, inputs, i);
     return [c, coin, bits = std::move(bits)](NodeId i) {
@@ -237,15 +261,12 @@ ProtocolInfo make_acs_info() {
   ProtocolInfo info;
   info.make_factory = [](const ScenarioSpec& spec,
                          std::vector<double> inputs) -> net::ProtocolFactory {
-    auto coin = std::make_shared<crypto::CommonCoin>(static_cast<std::uint64_t>(
-        spec.param("coin-seed", static_cast<double>(kDefaultCoinSeed))));
+    auto coin = std::make_shared<crypto::CommonCoin>(coin_seed(spec));
     acs::AcsProtocol::Config c;
     c.n = spec.n;
     c.t = spec.t;
     c.coin = coin.get();
-    c.coin_compute_us = static_cast<SimTime>(spec.param(
-        "coin-us",
-        static_cast<double>(default_coin_cost(spec.testbed, spec.n))));
+    c.coin_compute_us = coin_us(spec);
     c.session = spec.seed;
     return [c, coin, inputs = std::move(inputs)](NodeId i) {
       return std::make_unique<acs::AcsProtocol>(c, inputs[i]);
@@ -262,8 +283,8 @@ ProtocolInfo make_multidim_info() {
   ProtocolInfo info;
   info.make_factory = [](const ScenarioSpec& spec,
                          std::vector<double> inputs) -> net::ProtocolFactory {
-    const auto dims =
-        static_cast<std::size_t>(spec.param("dims", 2.0));
+    const auto dims = static_cast<std::size_t>(
+        spec.int_param("dims", 2, 1, kMaxStateCount));
     auto c = multidim::VectorDelphiProtocol::Config::uniform(
         spec.n, spec.t, delphi_params(spec), dims);
     // Every coordinate observes the node's scalar reading (a d-way
@@ -294,15 +315,17 @@ ProtocolInfo make_dora_info() {
     // Deployment key material + attestation session, both derived from the
     // spec seed (the "DKG" the substitution model does not run).
     auto keys = std::make_shared<crypto::KeyStore>(
-        static_cast<std::uint64_t>(spec.param("keys-seed", 99.0)), spec.n);
+        static_cast<std::uint64_t>(
+            spec.int_param("keys-seed", 99, 0, kMaxSeed)),
+        spec.n);
     auto attestor = std::make_shared<crypto::Attestor>(*keys, spec.seed);
     oracle::DoraProtocol::Config c;
     c.delphi.n = spec.n;
     c.delphi.t = spec.t;
     c.delphi.params = delphi_params(spec);
     c.attestor = attestor.get();
-    c.sign_compute_us = static_cast<SimTime>(spec.param("sign-us", 0.0));
-    c.verify_compute_us = static_cast<SimTime>(spec.param("verify-us", 0.0));
+    c.sign_compute_us = spec.int_param("sign-us", 0, 0, kMaxComputeUs);
+    c.verify_compute_us = spec.int_param("verify-us", 0, 0, kMaxComputeUs);
     return [c, keys, attestor, inputs = std::move(inputs)](NodeId i) {
       return std::make_unique<oracle::DoraProtocol>(c, inputs[i]);
     };

@@ -309,7 +309,7 @@ void fill_socket_options(const ScenarioSpec& rs,
   opts.n = rs.n;
   opts.auth = rs.param("auth", 1.0) != 0.0;
   opts.seed = rs.seed;
-  opts.timeout_ms = static_cast<std::int64_t>(rs.param("timeout-ms", 30'000.0));
+  opts.timeout_ms = rs.int_param("timeout-ms", 30'000, 1, 86'400'000);  // a day
   opts.netem = netem_from_spec(rs);
   opts.churn = churn_windows(rs);
 }
@@ -446,7 +446,7 @@ RunReport UdpRuntime::run(const ScenarioSpec& spec) {
   const auto [info, rs] = prepare(spec, registry_);
   transport::UdpMesh::Options opts;
   fill_socket_options(rs, opts);
-  opts.rto_ms = static_cast<std::int64_t>(rs.param("rto-ms", 25.0));
+  opts.rto_ms = rs.int_param("rto-ms", 25, 1, 60'000);
   transport::UdpMesh mesh(opts);
   return run_cluster(mesh, info, rs);
 }

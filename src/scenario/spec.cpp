@@ -243,6 +243,22 @@ double ScenarioSpec::param(const std::string& key, double dflt) const {
   return it == params.end() ? dflt : it->second;
 }
 
+std::int64_t ScenarioSpec::int_param(const std::string& key,
+                                     std::int64_t dflt, std::int64_t lo,
+                                     std::int64_t hi) const {
+  const auto it = params.find(key);
+  if (it == params.end()) return dflt;
+  const double v = it->second;
+  // Range-check as a double: converting an out-of-range value is undefined.
+  if (!(v >= static_cast<double>(lo) && v <= static_cast<double>(hi)) ||
+      v != std::floor(v)) {
+    throw ConfigError("scenario: " + key + " must be an integer in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) +
+                      "], got " + fmt_double(v));
+  }
+  return static_cast<std::int64_t>(v);
+}
+
 std::vector<double> ScenarioSpec::make_inputs() const {
   if (!inputs.empty()) {
     if (inputs.size() != n) {

@@ -227,6 +227,12 @@ struct ScenarioSpec {
   /// Parameter lookup with default.
   double param(const std::string& key, double dflt) const;
 
+  /// Integer parameter lookup with default. Throws ConfigError naming `key`
+  /// unless the value is a whole number in [lo, hi], so the caller's
+  /// conversion is always in range. hi must not exceed 2^53.
+  std::int64_t int_param(const std::string& key, std::int64_t dflt,
+                         std::int64_t lo, std::int64_t hi) const;
+
   /// Materialize the per-node input vector (explicit inputs or generator).
   /// Throws ConfigError if explicit inputs don't match n.
   std::vector<double> make_inputs() const;

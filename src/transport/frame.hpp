@@ -18,9 +18,10 @@
 /// length prefix + channel + payload ONCE into an immutable SharedFrameBody
 /// and shares that buffer across all n-1 links; only the 32-byte per-link
 /// MAC differs, computed from a precomputed crypto::HmacKey midstate and
-/// carried alongside the shared body (transport/tcp.cpp gathers body + tag
-/// into one writev). The length prefix already includes the tag size, so the
-/// shared bytes are final — framed_size accounting is unchanged.
+/// carried alongside the shared body (transport/tcp.cpp appends body + tag
+/// to the link's output buffer). The length prefix already includes the tag
+/// size, so the shared bytes are final — framed_size accounting is
+/// unchanged.
 
 #include <cstdint>
 #include <memory>

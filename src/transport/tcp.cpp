@@ -4,7 +4,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,25 +30,10 @@ using sock::sys_fail;
 constexpr std::uint32_t kHelloMagic = 0x44504849;  // "IHPD" LE == "DPHI"
 constexpr std::size_t kHelloPrefixSize = 8;
 
-/// Frames gathered per writev(2): the portable IOV_MAX floor (1024 entries
-/// = up to 512 authenticated frames per syscall). The iovec array is pooled
-/// per node, so the only cost of a large gather is the syscalls it saves.
-constexpr std::size_t kMaxIovs = 1024;
-
-/// Frames at most this large (body + tag) are memcpy'd into a pooled
-/// staging buffer so a run of small frames becomes ONE iovec — the kernel's
-/// per-iovec bookkeeping costs more than copying ~a hundred bytes. Larger
-/// bodies are referenced zero-copy.
-constexpr std::size_t kStageFrameLimit = 256;
-
-/// Staged bytes gathered per writev attempt. Caps the copy work done per
-/// syscall so a deep backlog behind a slow receiver costs O(backlog) total
-/// staging, not O(backlog²) — one writev drains about a socket buffer
-/// (~208 KiB default), so re-staging at most this much per attempt keeps
-/// the repeated-copy overhead near constant. Also the pooled capacity of
-/// stage_, reserved once, so mid-gather reallocation (which would
-/// invalidate iovec pointers) cannot happen.
-constexpr std::size_t kStageByteBudget = 256 * 1024;
+/// Per-link replay log byte budget in recovery mode; drop-oldest beyond it
+/// (graceful degradation: a rejoining peer that out-lived the budget misses
+/// the dropped prefix and relies on protocol-level redundancy).
+constexpr std::size_t kReplayBudgetBytes = std::size_t{32} << 20;
 
 /// Recovery-mode hellos (Options::recovery) append a u64 after the prefix:
 /// how many complete frames the sender has received from the destination on
@@ -168,8 +152,9 @@ class TcpCluster::Node final : public SocketNode {
   }
 
  private:
-  /// One queued outbound frame: the shared destination-independent body and
-  /// this link's MAC tag (meaningful only on authenticated links).
+  /// One outbound frame whose boundaries still matter (netem holdback,
+  /// replay log): the shared destination-independent body and this link's
+  /// MAC tag (meaningful only on authenticated links).
   struct PendingFrame {
     SharedFrameBody body;
     crypto::Digest tag;
@@ -178,10 +163,13 @@ class TcpCluster::Node final : public SocketNode {
   struct Peer {
     int fd = -1;
     FrameParser parser;
-    std::deque<PendingFrame> outq;
-    /// Bytes of outq.front() already on the wire (may point into the tag).
-    std::size_t front_written = 0;
-    /// Last writev hit EAGAIN: wait for POLLOUT instead of re-trying.
+    /// Wire bytes queued for this link; out[0, out_pos) is already written
+    /// and is compacted away lazily (a drained buffer on the next append).
+    /// Keeps the capacity of its deepest backlog.
+    std::vector<std::uint8_t> out;
+    std::size_t out_pos = 0;
+    bool pending() const noexcept { return out_pos < out.size(); }
+    /// Last write hit EAGAIN: wait for POLLOUT instead of re-trying.
     bool blocked = false;
 
     // ---- recovery mode only (inert when Options::recovery is off) ----
@@ -231,24 +219,36 @@ class TcpCluster::Node final : public SocketNode {
           shim.on_send(t, frame_wire_size(*body, auth_));
       // Delay-only on TCP (drop verdicts ignored — see Options::netem): a
       // future release parks the frame on the holdback heap; the event loop
-      // moves it to the outq when due.
+      // appends it to the link's buffer when due.
       if (v.release_us > t) {
         held_.push({v.release_us, v.order, to, std::move(pf)});
         return;
       }
     }
-    p.outq.push_back(std::move(pf));
+    append_frame(p, pf);
   }
 
-  /// Move every held frame whose release time has arrived onto its link's
-  /// output queue, in (release, order) order — which realizes the burst
+  /// Append a frame's wire bytes (body, then tag) to the link's output
+  /// buffer, first compacting the written prefix once it is half the
+  /// buffer (as FrameParser::feed does).
+  void append_frame(Peer& p, const PendingFrame& pf) {
+    if (p.out_pos > 0 && p.out_pos >= p.out.size() / 2) {
+      p.out.erase(p.out.begin(),
+                  p.out.begin() + static_cast<std::ptrdiff_t>(p.out_pos));
+      p.out_pos = 0;
+    }
+    p.out.insert(p.out.end(), pf.body->begin(), pf.body->end());
+    if (auth_) p.out.insert(p.out.end(), pf.tag.begin(), pf.tag.end());
+  }
+
+  /// Append every held frame whose release time has arrived to its link's
+  /// buffer, in (release, order) order — which realizes the burst
   /// adversary's within-window LIFO on a real stream.
   void release_held(SimTime now) {
     while (!held_.empty() && held_.top().release <= now) {
-      auto h = std::move(const_cast<Held<PendingFrame>&>(held_.top()));
+      const Held<PendingFrame>& h = held_.top();
+      if (peers_[h.to].fd >= 0) append_frame(peers_[h.to], h.item);
       held_.pop();
-      Peer& p = peers_[h.to];
-      if (p.fd >= 0) p.outq.push_back(std::move(h.item));
     }
   }
 
@@ -260,7 +260,7 @@ class TcpCluster::Node final : public SocketNode {
     ++p.sent_count;
     p.log.push_back(pf);
     p.log_bytes += frame_wire_size(*pf.body, auth_);
-    while (p.log_bytes > opts_.replay_budget_bytes && !p.log.empty()) {
+    while (p.log_bytes > kReplayBudgetBytes && !p.log.empty()) {
       p.log_bytes -= frame_wire_size(*p.log.front().body, auth_);
       p.log.pop_front();
       ++p.log_start;
@@ -506,7 +506,7 @@ class TcpCluster::Node final : public SocketNode {
     for (const PendingFrame& pf : p.log) {
       ++metrics_.catchup_frames;
       metrics_.catchup_bytes += frame_wire_size(*pf.body, auth_);
-      p.outq.push_back(pf);
+      append_frame(p, pf);
     }
   }
 
@@ -613,7 +613,7 @@ class TcpCluster::Node final : public SocketNode {
         Peer& p = peers_[j];
         if (p.fd >= 0) {
           short events = POLLIN;
-          if (p.blocked && !p.outq.empty()) events |= POLLOUT;
+          if (p.blocked && p.pending()) events |= POLLOUT;
           pollfds_.push_back({p.fd, events, 0});
           owners_.push_back({FdKind::kPeer, j});
         }
@@ -696,12 +696,12 @@ class TcpCluster::Node final : public SocketNode {
     return poll_ms_until(at);
   }
 
-  /// Opportunistic write pass: one gathered writev per peer with pending
-  /// frames (peers that already hit EAGAIN wait for POLLOUT instead).
+  /// Opportunistic write pass over every peer with buffered bytes (peers
+  /// that already hit EAGAIN wait for POLLOUT instead).
   void flush_pending() {
     for (NodeId j = 0; j < opts_.n; ++j) {
       Peer& p = peers_[j];
-      if (p.fd >= 0 && !p.blocked && !p.outq.empty()) flush_peer(j, p);
+      if (p.fd >= 0 && !p.blocked && p.pending()) flush_peer(j, p);
     }
   }
 
@@ -743,73 +743,14 @@ class TcpCluster::Node final : public SocketNode {
     }
   }
 
-  /// Gather queued frames (shared bodies + per-link tags) into iovecs and
-  /// push them with as few writev(2) calls as the socket accepts.
+  /// Write the link's buffered bytes until they are all out or the socket
+  /// is full.
   void flush_peer(NodeId j, Peer& p) {
-    const std::size_t tag_len = auth_ ? crypto::kMacTagSize : 0;
-    while (!p.outq.empty()) {
-      iov_.clear();
-      stage_.clear();
-
-      // The (possibly partially written) front frame goes out directly.
-      auto it = p.outq.begin();
-      {
-        const auto& body = *it->body;
-        std::size_t skip = p.front_written;
-        if (skip < body.size()) {
-          iov_.push_back({const_cast<std::uint8_t*>(body.data()) + skip,
-                          body.size() - skip});
-          skip = 0;
-        } else {
-          skip -= body.size();
-        }
-        if (tag_len > 0 && skip < tag_len) {
-          iov_.push_back({const_cast<std::uint8_t*>(it->tag.data()) + skip,
-                          tag_len - skip});
-        }
-        ++it;
-      }
-
-      // Fixed staging capacity: iovecs point into stage_, so it must not
-      // reallocate while the gather is being built; the gather loop stops
-      // before exceeding it.
-      stage_.reserve(kStageByteBudget);
-
-      // Gather the rest: small frames extend the current staged run (one
-      // iovec per run), large bodies are referenced zero-copy.
-      bool run_open = false;
-      for (auto jt = it; jt != p.outq.end(); ++jt) {
-        if (iov_.size() + 2 > kMaxIovs) break;
-        const auto& body = *jt->body;
-        const std::size_t total = body.size() + tag_len;
-        if (total <= kStageFrameLimit) {
-          if (stage_.size() + total > kStageByteBudget) break;
-          const std::size_t off = stage_.size();
-          stage_.insert(stage_.end(), body.begin(), body.end());
-          if (tag_len > 0) {
-            stage_.insert(stage_.end(), jt->tag.begin(),
-                          jt->tag.begin() + tag_len);
-          }
-          if (run_open) {
-            iov_.back().iov_len += total;
-          } else {
-            iov_.push_back({stage_.data() + off, total});
-            run_open = true;
-          }
-        } else {
-          iov_.push_back(
-              {const_cast<std::uint8_t*>(body.data()), body.size()});
-          if (tag_len > 0) {
-            iov_.push_back(
-                {const_cast<std::uint8_t*>(jt->tag.data()), tag_len});
-          }
-          run_open = false;
-        }
-      }
-      const ssize_t k =
-          ::writev(p.fd, iov_.data(), static_cast<int>(iov_.size()));
+    while (p.pending()) {
+      const ssize_t k = ::write(p.fd, p.out.data() + p.out_pos,
+                                p.out.size() - p.out_pos);
       if (k > 0) {
-        advance_outq(p, static_cast<std::size_t>(k), tag_len);
+        p.out_pos += static_cast<std::size_t>(k);
         continue;
       }
       if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -821,25 +762,14 @@ class TcpCluster::Node final : public SocketNode {
     }
   }
 
-  /// Retire fully-written frames after a writev of `written` bytes.
-  void advance_outq(Peer& p, std::size_t written, std::size_t tag_len) {
-    p.front_written += written;
-    while (!p.outq.empty()) {
-      const std::size_t frame_total = p.outq.front().body->size() + tag_len;
-      if (p.front_written < frame_total) break;
-      p.front_written -= frame_total;
-      p.outq.pop_front();
-    }
-  }
-
   /// Close p's link (if open) and reset its stream state for the next
   /// incarnation.
   void drop_link(NodeId j) {
     Peer& p = peers_[j];
     if (p.fd >= 0) ::close(p.fd);
     p.fd = -1;
-    p.outq.clear();
-    p.front_written = 0;
+    p.out.clear();
+    p.out_pos = 0;
     p.blocked = false;
     p.parser = FrameParser(mac(j));
   }
@@ -873,8 +803,6 @@ class TcpCluster::Node final : public SocketNode {
   std::vector<std::uint8_t> rbuf_;
   std::vector<pollfd> pollfds_;
   std::vector<PollOwner> owners_;
-  std::vector<iovec> iov_;
-  std::vector<std::uint8_t> stage_;
   std::vector<PendingAccept> accepts_;
 };
 

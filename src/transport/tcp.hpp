@@ -19,8 +19,9 @@
 ///     (the one exception: frames held back by the netem shim bound the
 ///     poll timeout by their next release time);
 ///   * broadcasts encode the frame body once and share the immutable buffer
-///     across all n-1 links (only the per-link MAC differs); pending frames
-///     are gathered into a single writev(2) per ready socket;
+///     across all n-1 links (only the per-link MAC differs); each link
+///     appends body + tag to its own output byte buffer, which a write(2)
+///     loop drains until the socket is full;
 ///   * each node's protocol runs strictly single-threaded (the Protocol
 ///     contract);
 ///   * TCP gives per-link FIFO, so fifo-dependent codecs are sound here.
@@ -37,7 +38,7 @@
 /// churn snapshot/restore, start/wait/stop — is shared with UDP in
 /// transport/socket_node.hpp; this module keeps only stream framing, the
 /// hello handshake and mesh bring-up, the reconnect supervisor, replay
-/// logs, and the writev gather.
+/// logs, and the per-link output buffers.
 
 #include <cstdint>
 #include <memory>
@@ -67,14 +68,10 @@ class TcpCluster final : public SocketCluster {
     /// peers, re-dial with exponential backoff and deterministic jitter,
     /// half-open handshake deadlines, per-link replay logs, and a two-way
     /// hello carrying the receiver's frame count so the sender replays
-    /// exactly the undelivered suffix. Off (the default) keeps the one-way
-    /// hello, so the wire format stays byte-identical to the pre-recovery
-    /// transport.
+    /// exactly the undelivered suffix. Each replay log keeps the newest
+    /// 32 MiB of frames. Off (the default) keeps the one-way hello, so the
+    /// wire format stays byte-identical to the pre-recovery transport.
     bool recovery = false;
-    /// Per-link replay log byte budget in recovery mode. Drop-oldest beyond
-    /// it (graceful degradation: a rejoining peer that out-lived the budget
-    /// misses the dropped prefix and relies on protocol-level redundancy).
-    std::size_t replay_budget_bytes = std::size_t{32} << 20;
   };
 
   explicit TcpCluster(Options opts);

@@ -13,11 +13,14 @@
 ///     with a substrate=udp redirect;
 ///   * parse_u64/parse_double reject negative, overflowing, and nan input,
 ///     and unknown/typo'd parameter keys fail with a "did you mean" message
-///     instead of silently changing nothing.
+///     instead of silently changing nothing;
+///   * integer knobs (rounds, dims, timeout-ms, ...) outside their range or
+///     with a fraction fail with a ConfigError naming the key.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "scenario/registry.hpp"
@@ -162,6 +165,32 @@ TEST(SpecParser, RuntimeValidatesProgrammaticSpecsToo) {
     EXPECT_NE(std::string(e.what()).find("did you mean 'rho0'"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(SpecParser, IntegerParamsOutsideTheirRangeNameTheKey) {
+  // Each of these used to convert an out-of-range double to an integer
+  // (undefined behaviour): the first four aborted on std::bad_alloc, the tcp
+  // run waited out a negative timeout, the udp run used a garbage RTO.
+  const std::pair<const char*, const char*> cases[] = {
+      {"protocol=dolev n=6 rounds=-1", "rounds"},
+      {"protocol=dolev n=6 rounds=1e10", "rounds"},
+      {"protocol=abraham n=4 rounds=-1", "rounds"},
+      {"protocol=multidim n=4 dims=1e9", "dims"},
+      {"protocol=delphi n=4 substrate=tcp timeout-ms=-5", "timeout-ms"},
+      {"protocol=delphi n=4 substrate=udp rto-ms=1e30", "rto-ms"},
+      {"protocol=binaa n=4 r-max=2.5", "r-max"},
+      {"protocol=aba n=4 coin-seed=-1", "coin-seed"},
+  };
+  for (const auto& [text, key] : cases) {
+    SCOPED_TRACE(text);
+    try {
+      run_scenario(ScenarioSpec::from_text(text));
+      FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
   }
 }
 
