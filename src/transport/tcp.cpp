@@ -214,16 +214,14 @@ class TcpCluster::Node final : public SocketNode {
     if (recovery_) log_frame(p, pf);
     if (p.fd < 0) return;  // link down: the log replays this on reconnect
     if (net::netem::LinkShim& shim = links_[to].shim; shim.active()) {
-      const SimTime t = now();
-      const auto v =
-          shim.on_send(t, frame_wire_size(*body, auth_));
-      // Delay-only on TCP (drop verdicts ignored — see Options::netem): a
-      // future release parks the frame on the holdback heap; the event loop
-      // appends it to the link's buffer when due.
-      if (v.release_us > t) {
-        held_.push({v.release_us, v.order, to, std::move(pf)});
-        return;
-      }
+      // Delay-only on TCP (drop verdicts ignored — see Options::netem): the
+      // frame waits on the holdback heap, and the event loop appends it to
+      // the link's buffer when due. A frame due now waits there too:
+      // appended directly, it would overtake earlier frames that are due but
+      // not yet released.
+      const auto v = shim.on_send(now(), frame_wire_size(*body, auth_));
+      held_.push({v.release_us, v.order, to, std::move(pf)});
+      return;
     }
     append_frame(p, pf);
   }

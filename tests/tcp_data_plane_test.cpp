@@ -5,8 +5,10 @@
 /// boundary and under many-small-frames bursts, authenticated-link tamper
 /// rejection, cross-substrate equivalence (TCP honest bytes and outputs
 /// against the simulator's framed_size accounting) for rbc / dolev / delphi,
-/// and send-path backpressure (a sender that fills the socket buffer until
-/// write(2) returns EAGAIN must still deliver every frame in order).
+/// send-path backpressure (a sender that fills the socket buffer until
+/// write(2) returns EAGAIN must still deliver every frame in order), and
+/// netem holdback order (a frame due at send time must not overtake due
+/// frames the shim still holds).
 
 #include <gtest/gtest.h>
 
@@ -350,6 +352,14 @@ class Blob final : public net::MessageBody {
   std::vector<std::uint8_t> bytes_;
 };
 
+Decoder blob_decoder() {
+  return [](std::uint32_t, ByteReader& r) -> net::MessagePtr {
+    const auto s = r.raw(r.remaining());
+    return std::make_shared<Blob>(
+        std::vector<std::uint8_t>(s.begin(), s.end()));
+  };
+}
+
 /// Node 0 queues every frame for node 1 at start, far more than a socket
 /// buffer holds; node 1 stalls in its first handler, so node 0's writes hit
 /// EAGAIN and wait for POLLOUT. Node 1 checks each frame against the
@@ -410,11 +420,7 @@ void run_backpressure(const net::netem::Config& netem) {
     TcpCluster cluster(opts);
     cluster.start(
         [](NodeId i) { return std::make_unique<Backpressure>(i == 1); },
-        [](std::uint32_t, ByteReader& r) -> net::MessagePtr {
-          const auto s = r.raw(r.remaining());
-          return std::make_shared<Blob>(
-              std::vector<std::uint8_t>(s.begin(), s.end()));
-        });
+        blob_decoder());
     ASSERT_TRUE(cluster.wait());
     ASSERT_TRUE(cluster.failures().empty());
     const auto& rx = dynamic_cast<const Backpressure&>(cluster.protocol(1));
@@ -436,6 +442,53 @@ TEST(TcpBackpressure, FramesQueuedBehindAPartialWriteStayOrdered) {
   net::netem::Config netem;
   netem.rate_bytes_per_us = 50.0;
   run_backpressure(netem);
+}
+
+/// Node 0 sends a frame larger than the token bucket's burst credit, so the
+/// shim holds it, waits in the same handler until the bucket has refilled,
+/// then sends a one-byte frame the shim releases at once. Node 1 records
+/// the first byte of each frame in arrival order.
+class HoldbackProbe final : public net::Protocol {
+ public:
+  explicit HoldbackProbe(bool receiver) : receiver_(receiver) {}
+
+  void on_start(net::Context& ctx) override {
+    if (receiver_) return;
+    ctx.send(1, 0,
+             std::make_shared<Blob>(std::vector<std::uint8_t>(30'000, 1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    ctx.send(1, 0, std::make_shared<Blob>(std::vector<std::uint8_t>{2}));
+  }
+  void on_message(net::Context&, NodeId, std::uint32_t,
+                  const net::MessageBody& body) override {
+    arrivals_.push_back(dynamic_cast<const Blob&>(body).bytes().front());
+  }
+  bool terminated() const override {
+    return !receiver_ || arrivals_.size() >= 2;
+  }
+
+  const std::vector<std::uint8_t>& arrivals() const { return arrivals_; }
+
+ private:
+  bool receiver_;
+  std::vector<std::uint8_t> arrivals_;
+};
+
+TEST(TcpNetem, FrameDueAtSendQueuesBehindDueHeldFrames) {
+  // 1 B/us with the default 20 ms bucket: 20 000 B of burst credit, so the
+  // 30 000 B frame is held ~10 ms and the bucket is full again 40 ms later.
+  // Both frames are due before the event loop next runs; they must leave
+  // in send order.
+  TcpCluster::Options opts;
+  opts.n = 2;
+  opts.netem.rate_bytes_per_us = 1.0;
+  TcpCluster cluster(opts);
+  cluster.start(
+      [](NodeId i) { return std::make_unique<HoldbackProbe>(i == 1); },
+      blob_decoder());
+  ASSERT_TRUE(cluster.wait());
+  const auto& rx = dynamic_cast<const HoldbackProbe&>(cluster.protocol(1));
+  EXPECT_EQ(rx.arrivals(), (std::vector<std::uint8_t>{1, 2}));
 }
 
 // ------------------------------------------------------- wakeup primitive
