@@ -2,9 +2,11 @@
 /// netem shim was built for. Three sections:
 ///
 ///   1. Datagram flood: a windowed credit protocol saturates the
-///      authenticated UDP mesh with fixed-size broadcast frames (one frame
-///      per datagram, selective-repeat ARQ underneath) and measures
-///      delivered frames/s and MB/s (payload size x auth on/off x n).
+///      authenticated UDP mesh with fixed-size broadcast frames (each event
+///      loop step packs the frames queued for a link into one datagram,
+///      which also carries that link's ack; selective-repeat ARQ over
+///      datagrams underneath) and measures delivered frames/s and MB/s
+///      (payload size x auth on/off x n).
 ///   2. Multi-instance flood: the same flood split across k concurrent
 ///      SessionMux instances over one datagram mesh (instances in {1,2,4,8})
 ///      — the udp counterpart of bench_tcp_throughput's instances axis.
@@ -73,10 +75,10 @@ class CreditMsg final : public net::MessageBody {
 
 constexpr std::uint32_t kDataChannel = 0;
 constexpr std::uint32_t kCreditChannel = 1;
-/// Max unacked broadcasts in flight. Smaller than the TCP bench's window:
-/// every in-flight frame also sits in the ARQ's unacked map, and localhost
-/// UDP drops outright when socket buffers overflow, so an over-deep window
-/// only buys retransmissions.
+/// Max unacked broadcasts in flight (smaller than the TCP bench's window).
+/// The transport packs whatever is queued into datagrams and holds each
+/// link's unacked datagrams under a share of the receiver's socket buffer,
+/// so this window sets how much a step can pack, not whether frames drop.
 constexpr std::uint32_t kWindow = 128;
 constexpr std::uint32_t kCreditEvery = 32;
 
@@ -198,8 +200,8 @@ transport::Decoder mux_flood_decoder() {
 
 /// `instances` concurrent flood sessions over one datagram mesh via
 /// SessionMux, each broadcasting `per_instance` frames under its own credit
-/// window (so total in-flight frames scale with the instance count — the ARQ
-/// keeps every instance's unacked set independently).
+/// window (so total in-flight frames scale with the instance count, and the
+/// instances' frames share each link's datagrams).
 FloodResult run_mux_flood(std::size_t n, std::size_t payload, bool auth,
                           std::uint32_t per_instance,
                           std::uint32_t instances) {
@@ -260,10 +262,11 @@ scenario::ScenarioSpec protocol_spec(const std::string& protocol,
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
   print_title("UDP datagram-plane throughput (real localhost sockets)",
-              "Flood: windowed broadcast, one frame per datagram over "
-              "selective-repeat ARQ (single- and multi-instance over one "
-              "mesh); sweeps through ScenarioSpec/UdpRuntime, with and "
-              "without shim loss.");
+              "Flood: windowed broadcast, the frames queued for a link "
+              "packed into one datagram per loop step over selective-repeat "
+              "ARQ (single- and multi-instance over one mesh); sweeps "
+              "through ScenarioSpec/UdpRuntime, with and without shim "
+              "loss.");
 
   int failures = 0;
 

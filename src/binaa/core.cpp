@@ -3,16 +3,20 @@
 namespace delphi::binaa {
 
 BinAaCore::BinAaCore(const Config& cfg)
-    : cfg_(cfg), set_words_(static_cast<std::uint32_t>((cfg.n + 63) / 64)) {
-  DELPHI_ASSERT(cfg_.n > 3 * cfg_.t, "BinAA requires n > 3t");
-  DELPHI_ASSERT(cfg_.r_max >= 1 && cfg_.r_max <= 62, "BinAA r_max in [1,62]");
+    : n_(static_cast<std::uint16_t>(cfg.n)),
+      t_(static_cast<std::uint16_t>(cfg.t)),
+      r_max_(static_cast<std::uint8_t>(cfg.r_max)) {
+  DELPHI_ASSERT(cfg.n <= 0xFFFF, "BinAA n must fit in 16 bits");
+  DELPHI_ASSERT(cfg.n > 3 * cfg.t, "BinAA requires n > 3t");
+  DELPHI_ASSERT(cfg.r_max >= 1 && cfg.r_max <= 62, "BinAA r_max in [1,62]");
 }
 
-void BinAaCore::alloc_rounds() {
+void BinAaCore::alloc_state() {
   // A started core walks every round, so the first touch sizes the records
   // and a typical pool (three round sets plus ~two value sets per round).
-  rounds_.resize(cfg_.r_max);
-  pool_.reserve(std::size_t{5} * cfg_.r_max * set_words_);
+  st_ = std::make_unique<State>();
+  st_->rounds.resize(r_max_);
+  st_->pool.reserve(std::size_t{5} * r_max_ * set_words());
 }
 
 void BinAaCore::init_round(Round& rs) {
@@ -23,14 +27,15 @@ void BinAaCore::init_round(Round& rs) {
 }
 
 std::uint32_t BinAaCore::new_set() {
-  const auto offset = static_cast<std::uint32_t>(pool_.size());
-  pool_.resize(pool_.size() + set_words_, 0);
+  std::vector<std::uint64_t>& pool = st_->pool;
+  const auto offset = static_cast<std::uint32_t>(pool.size());
+  pool.resize(pool.size() + set_words(), 0);
   return offset;
 }
 
 BinAaCore::Spill* BinAaCore::find_spill(std::uint32_t round, List list,
                                         ScaledValue v) {
-  for (Spill& s : spill_) {
+  for (Spill& s : st_->spill) {
     if (s.round == round && s.list == list && s.tally.value == v) return &s;
   }
   return nullptr;
@@ -55,8 +60,8 @@ BinAaCore::Tally& BinAaCore::add_tally(Tally* inl, std::uint8_t& used,
     inl[used] = fresh;
     return inl[used++];
   }
-  spill_.push_back(Spill{fresh, round, list});
-  return spill_.back().tally;
+  st_->spill.push_back(Spill{fresh, round, list});
+  return st_->spill.back().tally;
 }
 
 bool BinAaCore::note_sent(Round& rs, std::uint32_t round, ScaledValue v) {
@@ -68,7 +73,7 @@ bool BinAaCore::note_sent(Round& rs, std::uint32_t round, ScaledValue v) {
     return true;
   }
   if (find_spill(round, List::kSent, v) != nullptr) return false;
-  spill_.push_back(Spill{Tally{v, 0, 0}, round, List::kSent});
+  st_->spill.push_back(Spill{Tally{v, 0, 0}, round, List::kSent});
   return true;
 }
 
@@ -98,8 +103,8 @@ void BinAaCore::on_echo(std::uint8_t kind, std::uint32_t round,
   if (done_) return;
   // Byzantine-robust input validation: silently ignore garbage.
   if (kind < 1 || kind > 2) return;
-  if (round < 1 || round > cfg_.r_max) return;
-  if (from >= cfg_.n) return;
+  if (round < 1 || round > r_max_) return;
+  if (from >= n_) return;
   if (!valid_value(round, value)) return;
 
   Round& rs = round_state(round);
@@ -124,7 +129,7 @@ void BinAaCore::on_echo(std::uint8_t kind, std::uint32_t round,
     // tally, and hence every other trigger input, is unchanged. Counts move
     // in steps of one, so crossings coincide with equality.
     const std::size_t tally = ++votes->count;
-    if (tally == cfg_.t + 1 || tally == cfg_.n - cfg_.t) {
+    if (tally == t_ + 1u || tally == std::uint32_t{n_} - t_) {
       run_triggers(round, out);
       if (started_) try_advance(out);
     }
@@ -137,7 +142,7 @@ void BinAaCore::on_echo(std::uint8_t kind, std::uint32_t round,
     }
     // ECHO2s never feed run_triggers (it reads only ECHO1 state); advance
     // condition (2) can only newly hold at its n-t crossing.
-    if (++votes->count == cfg_.n - cfg_.t && started_) try_advance(out);
+    if (++votes->count == std::uint32_t{n_} - t_ && started_) try_advance(out);
   }
 }
 
@@ -147,7 +152,7 @@ void BinAaCore::run_triggers(std::uint32_t round, std::vector<EchoAction>& out) 
   // Bracha-style amplification: t+1 ECHO1s for a value we haven't echoed.
   // note_sent may spill, which is why walk hands out copies.
   walk(rs.e1, rs.n_e1, round, List::kEcho1, [&](Tally votes) {
-    if (votes.count >= cfg_.t + 1 && note_sent(rs, round, votes.value)) {
+    if (votes.count >= t_ + 1u && note_sent(rs, round, votes.value)) {
       out.push_back(EchoAction{/*kind=*/1, round, votes.value});
     }
     return false;
@@ -156,7 +161,7 @@ void BinAaCore::run_triggers(std::uint32_t round, std::vector<EchoAction>& out) 
   // ECHO2 once some value gathers n-t ECHO1s (at most one ECHO2 per round).
   if (!rs.e2_sent) {
     walk(rs.e1, rs.n_e1, round, List::kEcho1, [&](Tally votes) {
-      if (votes.count < cfg_.n - cfg_.t) return false;
+      if (votes.count < std::uint32_t{n_} - t_) return false;
       rs.e2_sent = true;
       out.push_back(EchoAction{/*kind=*/2, round, votes.value});
       return true;
@@ -167,7 +172,7 @@ void BinAaCore::run_triggers(std::uint32_t round, std::vector<EchoAction>& out) 
 void BinAaCore::try_advance(std::vector<EchoAction>& out) {
   for (;;) {
     Round& rs = round_state(round_);
-    const std::size_t quorum = cfg_.n - cfg_.t;
+    const std::uint32_t quorum = std::uint32_t{n_} - t_;
 
     ScaledValue next = 0;
     bool advanced = false;
@@ -200,23 +205,16 @@ void BinAaCore::try_advance(std::vector<EchoAction>& out) {
     if (!advanced) return;
 
     state_value_ = next;
-    if (round_ == cfg_.r_max) {
+    if (round_ == r_max_) {
       done_ = true;
-      round_ = cfg_.r_max + 1;
-      release_rounds();
+      round_ = static_cast<std::uint8_t>(r_max_ + 1);
+      st_.reset();  // the release invariant: nothing below is read again
       return;
     }
     ++round_;
     begin_round(out);
     // Loop: buffered echoes for the new round may already complete it.
   }
-}
-
-void BinAaCore::release_rounds() {
-  // Swap, not clear(): the point is to return the capacity.
-  std::vector<Round>().swap(rounds_);
-  std::vector<std::uint64_t>().swap(pool_);
-  std::vector<Spill>().swap(spill_);
 }
 
 ScaledValue BinAaCore::output_scaled() const {

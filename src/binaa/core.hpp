@@ -37,14 +37,18 @@
 ///    actions and wire bytes identical to per-round vectors. Entries are
 ///    addressed by index, never by pointer, across anything that may append
 ///    to the spill list.
-///  * Nothing is allocated until the core is first touched (start or echo);
-///    a round's sender sets are carved from the pool when that round is.
+///  * The round records, the pool and the spill list live in one block
+///    that is allocated when the core is first touched (start or echo); a
+///    round's sender sets are carved from the pool when that round is. An
+///    untouched or finished core is its narrow parameters, its state value
+///    and a null pointer (24 bytes on LP64).
 ///
-/// Release invariant: once done(), a core holds no round records, pool or
-/// spill list — only its output and round. Every later echo is ignored
-/// (on_echo returns on done), so nothing reads the released state.
+/// Release invariant: once done(), a core has freed that block — it holds
+/// only its output and round. Every later echo is ignored (on_echo returns
+/// on done), so nothing reads the released state.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -67,6 +71,7 @@ struct EchoAction {
 class BinAaCore {
  public:
   struct Config {
+    /// At most 65535 (stored in 16 bits).
     std::size_t n = 4;
     std::size_t t = 1;
     /// Number of averaging rounds r_M = ceil(log2(1/eps')); also fixes the
@@ -77,7 +82,7 @@ class BinAaCore {
   explicit BinAaCore(const Config& cfg);
 
   /// Scale factor: all values are numerators over this power of two.
-  ScaledValue scale() const noexcept { return ScaledValue{1} << cfg_.r_max; }
+  ScaledValue scale() const noexcept { return ScaledValue{1} << r_max_; }
 
   /// Begin with a binary input (false -> 0, true -> scale()). Appends the
   /// initial round-1 ECHO1 to `out`. The host must loop our own echoes back
@@ -104,8 +109,6 @@ class BinAaCore {
 
   /// Final output as a real in [0, 1].
   double output() const;
-
-  const Config& config() const noexcept { return cfg_; }
 
  private:
   /// Inline list entries per round record (see the file comment).
@@ -150,25 +153,36 @@ class BinAaCore {
   }
   bool valid_value(std::uint32_t round, ScaledValue v) const;
 
+  /// Everything a running core tallies; allocated at first touch, freed at
+  /// done().
+  struct State {
+    std::vector<Round> rounds;  ///< index r-1
+    std::vector<std::uint64_t> pool;
+    std::vector<Spill> spill;
+  };
+
   /// Fast-path inline: this is hit for every echo of every bundle; creating
   /// records and sets stays out of line.
   Round& round_state(std::uint32_t r) {
-    DELPHI_ASSERT(r >= 1 && r <= cfg_.r_max, "BinAA round out of range");
-    if (rounds_.empty()) alloc_rounds();
-    Round& rs = rounds_[r - 1];
+    DELPHI_ASSERT(r >= 1 && r <= r_max_, "BinAA round out of range");
+    if (!st_) alloc_state();
+    Round& rs = st_->rounds[r - 1];
     if (!rs.initialized) init_round(rs);
     return rs;
   }
-  void alloc_rounds();
+  void alloc_state();
   void init_round(Round& rs);
 
-  // Sender sets in pool_, addressed by word offset (pool_ may reallocate).
+  /// Words per sender set: ceil(n / 64).
+  std::uint32_t set_words() const noexcept { return (n_ + 63u) / 64u; }
+
+  // Sender sets in the pool, addressed by word offset (it may reallocate).
   std::uint32_t new_set();
   bool set_contains(std::uint32_t set, NodeId id) const {
-    return (pool_[set + id / 64] >> (id % 64)) & 1;
+    return (st_->pool[set + id / 64] >> (id % 64)) & 1;
   }
   bool set_insert(std::uint32_t set, NodeId id) {
-    std::uint64_t& w = pool_[set + id / 64];
+    std::uint64_t& w = st_->pool[set + id / 64];
     const std::uint64_t mask = std::uint64_t{1} << (id % 64);
     if (w & mask) return false;
     w |= mask;
@@ -176,7 +190,7 @@ class BinAaCore {
   }
 
   /// The spilled entry for `v` in a round's list, or nullptr. Pointers
-  /// into spill_ are valid until its next append.
+  /// into the spill list are valid until its next append.
   Spill* find_spill(std::uint32_t round, List list, ScaledValue v);
   /// The tally for `v` in a round's ECHO1 or ECHO2 list, or nullptr.
   Tally* find_tally(Tally* inl, std::uint8_t used, std::uint32_t round,
@@ -185,8 +199,8 @@ class BinAaCore {
   Tally& add_tally(Tally* inl, std::uint8_t& used, std::uint32_t round,
                    List list, ScaledValue v, bool with_set);
   /// Visit a round's ECHO1 or ECHO2 tallies in arrival order until `fn`
-  /// returns true. `fn` gets a copy and may append to spill_: the walk
-  /// re-indexes spill_ on every step.
+  /// returns true. `fn` gets a copy and may append to the spill list: the
+  /// walk re-indexes it on every step.
   template <typename Fn>
   void walk(const Tally* inl, std::uint8_t used, std::uint32_t round,
             List list, Fn&& fn) {
@@ -194,9 +208,10 @@ class BinAaCore {
       if (fn(Tally{inl[i]})) return;
     }
     if (used < kInline) return;  // spilling starts once the slots are full
-    for (std::size_t j = 0; j < spill_.size(); ++j) {
-      if (spill_[j].round == round && spill_[j].list == list &&
-          fn(Tally{spill_[j].tally})) {
+    const std::vector<Spill>& spill = st_->spill;
+    for (std::size_t j = 0; j < spill.size(); ++j) {
+      if (spill[j].round == round && spill[j].list == list &&
+          fn(Tally{spill[j].tally})) {
         return;
       }
     }
@@ -207,18 +222,15 @@ class BinAaCore {
   void run_triggers(std::uint32_t round, std::vector<EchoAction>& out);
   void try_advance(std::vector<EchoAction>& out);
   void begin_round(std::vector<EchoAction>& out);
-  /// Give back every round record, the pool and the spill list (done()).
-  void release_rounds();
 
-  Config cfg_;
+  ScaledValue state_value_ = 0;  // b_{i, round_}
+  std::unique_ptr<State> st_;    // null until first touched and once done
+  std::uint16_t n_;
+  std::uint16_t t_;
+  std::uint8_t r_max_;
+  std::uint8_t round_ = 0;  // 0 = not started
   bool started_ = false;
   bool done_ = false;
-  std::uint32_t round_ = 0;       // 0 = not started
-  ScaledValue state_value_ = 0;   // b_{i, round_}
-  std::uint32_t set_words_ = 0;   // words per sender set: ceil(n / 64)
-  std::vector<Round> rounds_;     // index r-1; empty until first touched
-  std::vector<std::uint64_t> pool_;
-  std::vector<Spill> spill_;
 };
 
 }  // namespace delphi::binaa

@@ -168,6 +168,9 @@ void DelphiProtocol::aggregate() {
   // Per-level representative value V_l and weight w_l (Algorithm 2 line 18).
   for (std::uint32_t l = 0; l < levels_.size(); ++l) {
     LevelReport& rep = reports_[l];
+    // Every core here is finished and 24 bytes; an oracle mesh keeps each
+    // agreement it ran, so the vector's growth slack is worth giving back.
+    levels_[l].instances.shrink_to_fit();
     rep.active_instances = levels_[l].instances.size();
     double sum_w = 0.0, sum_wmu = 0.0, max_w = 0.0;
     for (const auto& [k, core] : levels_[l].instances) {

@@ -8,33 +8,48 @@
 /// core; this module keeps the datagram codec, the ARQ, SeqFilter and the
 /// wire queue.
 ///
-/// Design (one frame per datagram):
+/// Design (one datagram per link per loop step):
 ///   * Each node owns ONE UDP socket bound to 127.0.0.1:<os-assigned>; all
 ///     sockets are bound before any thread starts, so there is no mesh
 ///     bring-up phase — the source port identifies the sending node.
-///   * A data datagram carries exactly one frame of the existing wire format
-///     (u32 length | uvarint channel | payload | 32-byte HMAC tag), prefixed
-///     by a kind byte and a per-directed-link u32 sequence number. The tag is
-///     computed over seq || channel || payload (the HmacKey two-span MAC), so
-///     a replayed, renumbered, or tampered datagram fails authentication —
-///     slightly stronger than the TCP tag, which a stream cannot replay.
-///   * Datagrams may be dropped, duplicated, or reordered (and the netem shim
-///     does all three on purpose). A small selective-repeat ARQ layer makes
-///     the transport reliable-enough for quorum protocols: the receiver's
-///     SeqFilter accepts each seq once (duplicates are re-acked and dropped),
-///     acks carry a cumulative floor plus recently-accepted seqs, and the
-///     sender retransmits unacked frames on a fixed retransmission timeout.
-///     Delivery is NOT FIFO — exactly the asynchronous-network contract the
-///     protocols are built for (and the simulator's default).
+///   * Frames wait in a per-link queue. Each event-loop step packs every
+///     frame queued for a peer, in send order, into one data datagram:
+///     kind | u32 seq | ack section | frames | 32-byte HMAC tag. An inner
+///     frame is uvarint length | uvarint channel | payload, with no tag of
+///     its own; one tag per datagram covers every preceding byte, so a
+///     replayed, renumbered, or tampered datagram fails authentication. A
+///     step splits the queue across datagrams only at kMaxDatagramBytes or
+///     at the window.
+///   * Acks ride the data: every data datagram carries the cumulative floor
+///     and the freshly accepted seqs (SACKs) of the reverse link. A
+///     standalone ack datagram (kind | ack section | tag) goes out only in
+///     a step that sends the peer no data.
+///   * The datagram is the ARQ unit: seqs are dense per directed link, the
+///     receiver's SeqFilter accepts each seq once (duplicates are re-acked
+///     and dropped) and delivers its frames in order, all or nothing. The
+///     sender keeps each unacked datagram's bytes in a ring indexed by seq
+///     and resends them verbatim on an exponentially backed-off RTO.
+///     Delivery across datagrams is NOT FIFO — exactly the asynchronous
+///     network contract the protocols are built for (and the simulator's
+///     default).
+///   * Window: a link's unacked datagrams may charge at most
+///     SO_RCVBUF / (2(n-1)) of the receiver's buffer (read back with
+///     getsockopt; every node's socket is made alike), each charged at
+///     twice its length plus 1 KiB — the kernel's worst case. The n-1
+///     senders together thus fill at most half a receiver's buffer with
+///     data, leaving the rest for acks, so a stalled receiver drops
+///     nothing. One datagram may always be in flight; frames beyond the
+///     window wait in the queue and are packed together when acks open it.
 ///   * Accounting happens at the logical send, mirroring the simulator's
-///     framed_size accounting: retransmissions, acks, and the seq/kind header
-///     are transport overhead and excluded — which is what makes
+///     framed_size accounting: retransmissions, acks, and the datagram
+///     headers are transport overhead and excluded — which is what makes
 ///     sim ≡ udp honest-byte parity hold by construction
 ///     (tests/udp_substrate_test.cpp pins it).
 ///   * Every outgoing datagram (data and acks alike) passes the link's
-///     netem::LinkShim; drops are recovered by the ARQ, delays are honoured
-///     by a holdback queue — so the full `adversary=` plane plus loss and
-///     bandwidth caps run on genuine kernel sockets.
+///     netem::LinkShim: `loss` drops a whole datagram, `rate-kbps` counts
+///     datagram bytes, and delays are honoured by a holdback queue — so the
+///     full `adversary=` plane plus loss and bandwidth caps run on genuine
+///     kernel sockets.
 ///
 /// The datagram codec below is exposed for tests (fuzz_decode_test feeds it
 /// truncated/corrupt datagrams) and the bench; UdpMesh is the cluster.
@@ -58,49 +73,47 @@ inline constexpr std::uint8_t kDatagramAck = 0xA4;
 /// bytes); enqueueing a frame that cannot fit is an Error at send time.
 inline constexpr std::size_t kMaxDatagramBytes = 65'000;
 
-/// Most selective-ack entries accepted in one ack datagram (decode rejects
+/// Most selective-ack entries accepted in one datagram (decode rejects
 /// higher claims before allocating).
 inline constexpr std::size_t kMaxAckSacks = 1024;
 
-/// One decoded datagram. `payload` borrows the input buffer.
+/// One decoded datagram; the frame payloads borrow the input buffer.
 struct DatagramView {
+  /// A standalone ack: no seq, no frames.
   bool is_ack = false;
-  /// Data: this frame's link sequence number. Ack: the cumulative floor
-  /// (every seq below it is acknowledged).
+  /// Data only: this datagram's link sequence number.
   std::uint32_t seq = 0;
-  /// Ack only: selectively-acknowledged seqs at/above the floor.
+  /// The ack section: every seq below `cum` is acknowledged, and so is
+  /// each seq in `sacks`.
+  std::uint32_t cum = 0;
   std::vector<std::uint32_t> sacks;
-  /// Data only.
-  std::uint32_t channel = 0;
-  std::span<const std::uint8_t> payload;
+  /// Data only: the packed frames, in send order (at least one).
+  std::vector<FrameView> frames;
 };
 
-/// Encode one data datagram: kind | u32 seq | frame body | tag. `tag` must
-/// be the seq-covering link tag (see udp_frame_tag) on authenticated links,
-/// nullptr otherwise.
-std::vector<std::uint8_t> encode_data_datagram(std::uint32_t seq,
-                                               const std::vector<std::uint8_t>& body,
-                                               const crypto::Digest* tag);
+/// Encode one data datagram: kind | u32 seq | u32 cum | uvarint count |
+/// u32 sacks | frames | tag. Each frame is a frame body (encode_frame_body)
+/// written as uvarint length | channel | payload — its u32 prefix dropped.
+/// The tag covers every preceding byte when `key` is non-null.
+std::vector<std::uint8_t> encode_data_datagram(
+    std::uint32_t seq, std::uint32_t cum, std::span<const std::uint32_t> sacks,
+    std::span<const SharedFrameBody> frames, const crypto::HmacKey* key);
 
-/// Encode one ack datagram: kind | u32 cum | uvarint count | seqs | tag
-/// (tag over all preceding bytes when `key` is non-null).
+/// Encode one standalone ack datagram: kind | u32 cum | uvarint count |
+/// u32 sacks | tag (tag over all preceding bytes when `key` is non-null).
 std::vector<std::uint8_t> encode_ack_datagram(std::uint32_t cum,
                                               std::span<const std::uint32_t> sacks,
                                               const crypto::HmacKey* key);
 
-/// Per-frame tag on an authenticated UDP link: HMAC over seq (u32 LE) ||
-/// channel uvarint || payload — the frame body's post-length bytes plus the
-/// sequence number, via the HmacKey two-span MAC (no concatenation buffer).
-crypto::Digest udp_frame_tag(const crypto::HmacKey& key, std::uint32_t seq,
-                             const std::vector<std::uint8_t>& body);
-
-/// Decode and authenticate one datagram (`key` = nullptr for plaintext
-/// links). Throws SerializationError on structural corruption and
-/// ProtocolViolation on MAC failure; a datagram is all-or-nothing, so unlike
-/// the TCP stream parser a failure poisons nothing — the caller just drops
-/// the datagram.
-DatagramView decode_datagram(std::span<const std::uint8_t> bytes,
-                             const crypto::HmacKey* key);
+/// Authenticate and decode one datagram into `out` (`key` = nullptr for
+/// plaintext links; `out`'s vectors keep their capacity across calls).
+/// Throws ProtocolViolation on MAC failure — checked before any field is
+/// read — and SerializationError on structural corruption, including a
+/// claimed frame length or sack count beyond the datagram. A datagram is
+/// all-or-nothing, so unlike the TCP stream parser a failure poisons
+/// nothing: the caller drops the datagram and delivers none of its frames.
+void decode_datagram(std::span<const std::uint8_t> bytes,
+                     const crypto::HmacKey* key, DatagramView& out);
 
 /// Receive-side duplicate filter for one directed link: accepts each
 /// sequence number exactly once, tracks the cumulative floor for acks.
@@ -129,17 +142,18 @@ class SeqFilter {
 class UdpMesh final : public SocketCluster {
  public:
   struct Options : SocketOptions {
-    /// Retransmission timeout for unacked frames (loopback RTT is tens of
+    /// Retransmission timeout for unacked datagrams (loopback RTT is tens of
     /// µs; this only bounds recovery latency after a drop). Retransmission
     /// attempts back off exponentially from this base (doubling per
     /// attempt, capped at 32x), so a long-dark peer costs O(log) resend
     /// work instead of a fixed-rate spray.
     std::int64_t rto_ms = 25;
-    /// Per-directed-link cap on the selective-repeat unacked map (and its
-    /// retransmit schedule). A send that would exceed it throws a typed
-    /// ResourceExhausted — never a silent drop. The default is roomy
-    /// enough that honest runs (including churn restarts) stay far below
-    /// it; tiny values let tests exercise the exhaustion path.
+    /// Per-directed-link cap on frames not yet acknowledged: queued behind
+    /// the window or carried by an unacked datagram. A send that would
+    /// exceed it throws a typed ResourceExhausted — never a silent drop.
+    /// The default is roomy enough that honest runs (including churn
+    /// restarts) stay far below it; tiny values let tests exercise the
+    /// exhaustion path.
     std::size_t max_unacked = 65'536;
   };
 

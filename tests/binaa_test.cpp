@@ -266,6 +266,15 @@ TEST(BinAa, ConfigValidation) {
   EXPECT_THROW(BinAaCore(BinAaCore::Config{3, 1, 8}), InternalError);
   EXPECT_THROW(BinAaCore(BinAaCore::Config{4, 1, 0}), InternalError);
   EXPECT_THROW(BinAaCore(BinAaCore::Config{4, 1, 63}), InternalError);
+  // n and t are stored in 16 bits.
+  EXPECT_THROW(BinAaCore(BinAaCore::Config{70'000, 1, 8}), InternalError);
+}
+
+TEST(BinAa, CoreObjectStaysNarrow) {
+  // Delphi keeps every materialized core of every finished agreement, so
+  // the object itself is the retained cost: narrow parameters, the state
+  // value and one pointer to the running state.
+  EXPECT_LE(sizeof(BinAaCore), 32u);
 }
 
 TEST(BinAa, OutputBeforeTerminationThrows) {

@@ -445,7 +445,7 @@ TEST(Delphi, FinishedAgreementsRetainBoundedHeap) {
   ASSERT_TRUE(sim.run());
   const double kb_per_node_instance =
       static_cast<double>(heap_in_use_kb() - before_kb) / (n * kInstances);
-  EXPECT_LE(kb_per_node_instance, 16.0);
+  EXPECT_LE(kb_per_node_instance, 4.0);
   for (NodeId i = 0; i < n; ++i) {
     const auto& node = sim.node_as<net::SessionMux>(i);
     for (std::uint32_t sid = 0; sid < kInstances; ++sid) {

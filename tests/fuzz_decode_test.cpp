@@ -5,15 +5,19 @@
 /// crash, hang, or over-allocate. This is the property that lets honest
 /// nodes treat arbitrary Byzantine bytes safely.
 ///
-/// The UDP datagram path rides the same harness (data + ack codecs under
-/// truncation/flips/garbage) plus its own properties: a tampered or
-/// renumbered authenticated datagram must fail the MAC (the tag covers the
-/// sequence number), and SeqFilter must deliver each seq exactly once no
-/// matter how datagrams are duplicated or reordered.
+/// The UDP datagram path rides the same harness (packed data + ack codecs
+/// under truncation/flips/garbage) plus its own properties: an
+/// authenticated datagram that is truncated, renumbered or tampered in any
+/// byte must fail and deliver none of its frames (one tag covers the seq,
+/// the ack section and every packed frame), claimed lengths and counts are
+/// checked before anything is allocated, and SeqFilter must deliver each
+/// seq exactly once no matter how datagrams are duplicated or reordered.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <span>
 
 #include "aba/aba.hpp"
 #include "abraham/abraham.hpp"
@@ -38,6 +42,23 @@ struct DecoderCase {
   Decoder decode;
   std::vector<std::uint8_t> valid;  // one known-good encoding
 };
+
+/// The three frames every packed-datagram case carries: distinct channels
+/// and payload sizes, one of them empty.
+std::vector<transport::SharedFrameBody> three_frames(bool auth) {
+  return {transport::encode_frame_body(2, std::vector<std::uint8_t>{4, 5, 6},
+                                       auth),
+          transport::encode_frame_body(300, std::vector<std::uint8_t>{}, auth),
+          transport::encode_frame_body(
+              7, std::vector<std::uint8_t>(200, 0xAB), auth)};
+}
+
+std::vector<std::uint8_t> three_frame_datagram(
+    std::uint32_t seq, std::span<const std::uint32_t> sacks,
+    const crypto::HmacKey* key) {
+  return transport::encode_data_datagram(seq, /*cum=*/9, sacks,
+                                         three_frames(key != nullptr), key);
+}
 
 std::vector<DecoderCase> all_decoders() {
   std::vector<DecoderCase> cases;
@@ -143,22 +164,22 @@ std::vector<DecoderCase> all_decoders() {
                      transport::encode_frame(3, payload, &key)});
   }
   {
-    // UDP data datagram (authenticated): kind | seq | frame | seq-covering
-    // tag. A static key keeps the lambda capture-free.
+    // UDP data datagram (authenticated): kind | seq | ack section | three
+    // packed frames | one tag over all of it. A static key keeps the
+    // lambda capture-free.
     static const crypto::HmacKey udp_key = [] {
       crypto::Key k{};
       k.fill(0xC3);
       return crypto::HmacKey(k);
     }();
-    const std::vector<std::uint8_t> payload = {4, 5, 6, 7, 8};
-    const auto body = transport::encode_frame_body(2, payload, /*auth=*/true);
-    const auto tag = transport::udp_frame_tag(udp_key, 11, *body);
+    const std::uint32_t sacks[] = {13, 15};
     cases.push_back({"udp_data",
                      [](ByteReader& r) {
+                       transport::DatagramView d;
                        transport::decode_datagram(r.raw(r.remaining()),
-                                                  &udp_key);
+                                                  &udp_key, d);
                      },
-                     transport::encode_data_datagram(11, *body, &tag)});
+                     three_frame_datagram(11, sacks, &udp_key)});
   }
   {
     // UDP ack datagram (authenticated): kind | cum | sack list | tag.
@@ -170,21 +191,21 @@ std::vector<DecoderCase> all_decoders() {
     const std::uint32_t sacks[] = {5, 7, 9};
     cases.push_back({"udp_ack",
                      [](ByteReader& r) {
+                       transport::DatagramView d;
                        transport::decode_datagram(r.raw(r.remaining()),
-                                                  &udp_ack_key);
+                                                  &udp_ack_key, d);
                      },
                      transport::encode_ack_datagram(3, sacks, &udp_ack_key)});
   }
   {
     // Plaintext UDP data datagram: structural checks only, no MAC.
-    const std::vector<std::uint8_t> payload = {1, 2, 3};
-    const auto body = transport::encode_frame_body(0, payload, /*auth=*/false);
     cases.push_back({"udp_data_plain",
                      [](ByteReader& r) {
+                       transport::DatagramView d;
                        transport::decode_datagram(r.raw(r.remaining()),
-                                                  nullptr);
+                                                  nullptr, d);
                      },
-                     transport::encode_data_datagram(0, *body, nullptr)});
+                     three_frame_datagram(0, {}, nullptr)});
   }
   return cases;
 }
@@ -256,37 +277,146 @@ TEST(FuzzDecode, ValidEncodingsStillDecodeAfterSuite) {
 
 // ------------------------------------------------------ udp datagram path
 
-TEST(UdpDatagram, RenumberedOrTamperedDatagramFailsAuthentication) {
-  // The UDP tag covers the sequence number, so a replayed datagram under a
-  // different seq (or any payload tamper) must fail the MAC — not decode as
-  // a fresh frame.
+crypto::HmacKey test_key(std::uint8_t fill) {
   crypto::Key k{};
-  k.fill(0x42);
-  const crypto::HmacKey key(k);
-  const std::vector<std::uint8_t> payload = {10, 20, 30};
-  const auto body = transport::encode_frame_body(1, payload, /*auth=*/true);
-  const auto tag = transport::udp_frame_tag(key, 7, *body);
-  auto valid = transport::encode_data_datagram(7, *body, &tag);
-  EXPECT_NO_THROW(transport::decode_datagram(valid, &key));
+  k.fill(fill);
+  return crypto::HmacKey(k);
+}
+
+/// `content` followed by its tag under `key`: a datagram a peer holding the
+/// link key could send, so only the structural checks can reject it.
+std::vector<std::uint8_t> tagged(std::vector<std::uint8_t> content,
+                                 const crypto::HmacKey& key) {
+  const crypto::Digest tag = key.tag(content);
+  content.insert(content.end(), tag.begin(), tag.end());
+  return content;
+}
+
+TEST(UdpDatagram, ThreeFramesRoundTripInOrder) {
+  const crypto::HmacKey key = test_key(0x42);
+  const std::uint32_t sacks[] = {12, 14, 15};
+  for (const crypto::HmacKey* k : {&key, static_cast<const crypto::HmacKey*>(
+                                             nullptr)}) {
+    SCOPED_TRACE(k != nullptr ? "auth" : "plain");
+    const auto frames = three_frames(k != nullptr);
+    const auto bytes = transport::encode_data_datagram(7, 9, sacks, frames, k);
+    transport::DatagramView d;
+    ASSERT_NO_THROW(transport::decode_datagram(bytes, k, d));
+    EXPECT_FALSE(d.is_ack);
+    EXPECT_EQ(d.seq, 7u);
+    EXPECT_EQ(d.cum, 9u);
+    EXPECT_EQ(d.sacks, std::vector<std::uint32_t>(std::begin(sacks),
+                                                  std::end(sacks)));
+    ASSERT_EQ(d.frames.size(), 3u);
+    const std::uint32_t channels[] = {2, 300, 7};
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(d.frames[i].channel, channels[i]) << i;
+      // The payload is the frame body after its prefix and channel.
+      const auto body = std::span<const std::uint8_t>(*frames[i]);
+      const auto want = body.subspan(4 + uvarint_size(channels[i]));
+      EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                             d.frames[i].payload.begin(),
+                             d.frames[i].payload.end()))
+          << i;
+    }
+  }
+}
+
+TEST(UdpDatagram, RenumberedOrTamperedDatagramFailsAuthentication) {
+  // The one datagram tag covers the sequence number, the ack section and
+  // every packed frame, so a replay under a different seq or a flip of any
+  // bit — header, ack fields, any inner frame, or the tag — must fail the
+  // MAC, and so must every truncation: no frame and no ack of a mangled
+  // datagram is ever decoded.
+  const crypto::HmacKey key = test_key(0x42);
+  const std::uint32_t sacks[] = {12, 14};
+  const std::uint32_t ack_sacks[] = {5, 7};
+  const auto valid = three_frame_datagram(7, sacks, &key);
+  transport::DatagramView d;
+  EXPECT_NO_THROW(transport::decode_datagram(valid, &key, d));
 
   auto renumbered = valid;
   renumbered[1] ^= 0x01;  // seq byte: replay under a different number
-  EXPECT_THROW(transport::decode_datagram(renumbered, &key),
+  EXPECT_THROW(transport::decode_datagram(renumbered, &key, d),
                ProtocolViolation);
 
-  auto tampered = valid;
-  tampered[valid.size() - crypto::kMacTagSize - 1] ^= 0x80;  // payload byte
-  EXPECT_THROW(transport::decode_datagram(tampered, &key), ProtocolViolation);
+  for (const auto& bytes :
+       {valid, transport::encode_ack_datagram(3, ack_sacks, &key)}) {
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto tampered = bytes;
+        tampered[byte] ^= static_cast<std::uint8_t>(1 << bit);
+        EXPECT_THROW(transport::decode_datagram(tampered, &key, d),
+                     ProtocolViolation)
+            << "byte " << byte << " bit " << bit;
+      }
+    }
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                             bytes.begin() + len);
+      EXPECT_THROW(transport::decode_datagram(prefix, &key, d), Error) << len;
+    }
+  }
 }
 
-TEST(UdpDatagram, HugeSackCountRejectedBeforeAllocation) {
-  ByteWriter w;
-  w.u8(transport::kDatagramAck);
-  w.u32(0);
-  w.uvarint(1ULL << 40);  // astronomical claimed sack count
-  const auto bytes = w.take();
-  EXPECT_THROW(transport::decode_datagram(bytes, nullptr),
+TEST(UdpDatagram, TruncatedInnerFrameRejectsWholeDatagram) {
+  // Two whole frames followed by one cut short: the datagram is rejected
+  // as a unit, so the two good frames are not delivered either. Re-tagging
+  // the cut bytes shows the structural check holds behind a valid MAC.
+  const crypto::HmacKey key = test_key(0x42);
+  const auto plain = three_frame_datagram(4, {}, nullptr);
+  const std::vector<std::uint8_t> cut(plain.begin(), plain.end() - 5);
+  transport::DatagramView d;
+  EXPECT_THROW(transport::decode_datagram(cut, nullptr, d),
                SerializationError);
+
+  const auto authed = transport::encode_data_datagram(
+      4, 9, {}, three_frames(true), &key);
+  const std::vector<std::uint8_t> authed_cut(
+      authed.begin(),
+      authed.end() - static_cast<std::ptrdiff_t>(crypto::kMacTagSize + 5));
+  EXPECT_THROW(transport::decode_datagram(tagged(authed_cut, key), &key, d),
+               SerializationError);
+}
+
+TEST(UdpDatagram, HugeClaimsRejectedBeforeAllocation) {
+  // Astronomical sack counts and frame lengths fail against the bytes that
+  // are actually there — on plaintext links and behind a valid tag alike.
+  const crypto::HmacKey key = test_key(0x42);
+  transport::DatagramView d;
+
+  ByteWriter ack;
+  ack.u8(transport::kDatagramAck);
+  ack.u32(0);
+  ack.uvarint(1ULL << 40);  // astronomical claimed sack count
+  EXPECT_THROW(transport::decode_datagram(ack.data(), nullptr, d),
+               SerializationError);
+  EXPECT_THROW(transport::decode_datagram(tagged(ack.data(), key), &key, d),
+               SerializationError);
+
+  ByteWriter sacks;  // within kMaxAckSacks, but beyond the datagram
+  sacks.u8(transport::kDatagramData);
+  sacks.u32(0);
+  sacks.u32(0);
+  sacks.uvarint(transport::kMaxAckSacks);
+  sacks.u32(1);
+  EXPECT_THROW(transport::decode_datagram(sacks.data(), nullptr, d),
+               SerializationError);
+  EXPECT_THROW(transport::decode_datagram(tagged(sacks.data(), key), &key, d),
+               SerializationError);
+
+  ByteWriter frame;
+  frame.u8(transport::kDatagramData);
+  frame.u32(0);
+  frame.u32(0);
+  frame.uvarint(0);
+  frame.uvarint(1ULL << 50);  // astronomical claimed frame length
+  frame.u8(0);
+  EXPECT_THROW(transport::decode_datagram(frame.data(), nullptr, d),
+               SerializationError);
+  EXPECT_THROW(transport::decode_datagram(tagged(frame.data(), key), &key, d),
+               SerializationError);
+  EXPECT_TRUE(d.frames.empty());
 }
 
 TEST(UdpSeqFilter, DupAndReorderNeverMisdeliver) {
