@@ -38,7 +38,7 @@ protocol::DelphiParams params_for(double delta_max) {
 }
 
 void tally_minute(Tally& t, const protocol::DelphiParams& p, std::size_t n,
-                  const Result& r) {
+                  const scenario::RunReport& r) {
   ++t.minutes;
   if (!r.ok || r.outputs.empty()) {
     ++t.violations;
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
         mid, delta);
     estimator.observe(delta);  // the estimator sees δ after the round
   }
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
   for (std::size_t i = 0; i < runs.size(); ++i) {
     tally_minute(*runs[i].first, runs[i].second, n, results[i]);
   }

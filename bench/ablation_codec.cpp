@@ -6,8 +6,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "binaa/protocol.hpp"
-#include "sim/harness.hpp"
 
 using namespace delphi;
 using namespace delphi::bench;
@@ -16,15 +14,21 @@ namespace {
 
 std::uint64_t run_binaa_bytes(std::size_t n, std::uint32_t r_max, bool compact,
                               std::uint64_t seed) {
-  auto cfg = testbed_config(Testbed::kAws, n, seed);
-  cfg.fifo_links = compact;  // the delta codec requires FIFO links
-  binaa::BinAaProtocol::Config pc;
-  pc.core = binaa::BinAaCore::Config{n, max_faults(n), r_max};
-  pc.compact = compact;
-  auto out = sim::run_nodes(cfg, [&](NodeId i) {
-    return std::make_unique<binaa::BinAaProtocol>(pc, i % 2 == 0);
-  });
-  return out.all_honest_terminated ? out.honest_bytes : 0;
+  scenario::ScenarioSpec spec;
+  spec.protocol = "binaa";
+  spec.testbed = Testbed::kAws;
+  spec.n = n;
+  spec.seed = seed;
+  spec.params["r-max"] = r_max;
+  if (compact) {
+    spec.params["compact"] = 1;
+    spec.params["fifo"] = 1;  // the delta codec requires FIFO links
+  }
+  // Split inputs: a node's bit is inputs[i] >= center, 1 on even ids.
+  spec.center = 0.5;
+  for (NodeId i = 0; i < n; ++i) spec.inputs.push_back(i % 2 == 0 ? 1.0 : 0.0);
+  const auto rep = scenario::SimRuntime().run(spec);
+  return rep.ok ? rep.honest_bytes : 0;
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
       specs.push_back(fin_spec(tb, n, 31, inputs, cost));
     }
     specs.push_back(delphi_spec(tb, n, 37, params, inputs));
-    const auto results = run_specs(specs);
+    const auto results = scenario::SweepRunner().run(specs);
 
     std::printf("-- %s testbed, n = %zu --\n", tb_name, n);
     print_row({"testbed", "config", "runtime_ms", "vs free"}, w);

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   }
   const auto in16 = clustered_inputs(16, 40'000.0, 20.0, 17);
   add(16, 16, 4, in16, in16);
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
 
   const char* names[] = {"Dolev et al.", "Abraham et al.", "Delphi"};
   const char* validity[] = {"[m, M]", "[m, M]", "relaxed"};
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     for (std::size_t k = 0; k < 3; ++k) {
       const auto& r = results[first + k];
       print_row({ts[k], std::to_string(specs[first + k].n), names[k],
-                 fmt(r.runtime_ms, 0), fmt(r.megabytes, 3), validity[k]},
+                 fmt(r.runtime_ms, 0), fmt(r.megabytes(), 3), validity[k]},
                 w);
     }
   };

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     p.rho0 = rho0;
     specs.push_back(delphi_spec(Testbed::kAws, n, 5, p, inputs));
   }
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
 
   for (std::size_t k = 0; k < params.size(); ++k) {
     const auto& p = params[k];
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     const double dist =
         r.outputs.empty() ? -1.0 : std::fabs(r.outputs.front() - s.mean);
     print_row({fmt(p.rho0, 0), std::to_string(p.num_levels()),
-               std::to_string(p.r_max(n)), fmt(r.megabytes, 2),
+               std::to_string(p.r_max(n)), fmt(r.megabytes(), 2),
                fmt(r.runtime_ms, 0), fmt(dist, 2) + "$"},
               w);
     if (!r.ok) std::printf("  !! run did not terminate\n");

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "scenario/sweep.hpp"
-
 namespace delphi::bench {
 
 namespace {
@@ -68,18 +66,6 @@ scenario::ScenarioSpec dolev_spec(Testbed tb, std::size_t n,
   spec.params["space-min"] = space_min;
   spec.params["space-max"] = space_max;
   return spec;
-}
-
-std::vector<Result> run_specs(const std::vector<scenario::ScenarioSpec>& specs,
-                              unsigned jobs) {
-  const auto reports = scenario::SweepRunner(jobs).run(specs);
-  std::vector<Result> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports) {
-    out.push_back({rep.ok, rep.runtime_ms, rep.megabytes(), rep.honest_msgs,
-                   rep.outputs});
-  }
-  return out;
 }
 
 std::vector<FaultCase> fault_axis(const scenario::ScenarioSpec& base) {

@@ -1,10 +1,11 @@
 #pragma once
 /// Shared infrastructure for the experiment benches: testbed configurations
 /// (AWS-geo / CPS, matching §VI-C), controlled-range workload generators,
-/// scenario-spec builders with a batch runner, and table printing.
+/// scenario-spec builders (run them with scenario::SweepRunner), and table
+/// printing.
 ///
-/// Every bench binary regenerates one table/figure of the paper; see
-/// DESIGN.md §3 for the index and EXPERIMENTS.md for paper-vs-measured notes.
+/// Every bench binary regenerates one table/figure of the paper; README.md
+/// "Substitutions" lists what stands in for the paper's testbeds and data.
 
 #include <cstdint>
 #include <string>
@@ -14,7 +15,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/runtime.hpp"
 #include "scenario/spec.hpp"
-#include "sim/harness.hpp"
+#include "scenario/sweep.hpp"
 
 namespace delphi::bench {
 
@@ -28,17 +29,7 @@ using scenario::clustered_inputs;
 using scenario::default_coin_cost;
 using scenario::testbed_config;
 
-/// Result of one protocol run.
-struct Result {
-  bool ok = false;
-  double runtime_ms = 0.0;   ///< honest completion time
-  double megabytes = 0.0;    ///< total honest traffic
-  std::uint64_t messages = 0;
-  std::vector<double> outputs;
-};
-
-/// ScenarioSpec builders for the paper's protocols on a simulated testbed;
-/// run them with run_specs.
+/// ScenarioSpec builders for the paper's protocols on a simulated testbed.
 scenario::ScenarioSpec delphi_spec(Testbed tb, std::size_t n,
                                    std::uint64_t seed,
                                    const protocol::DelphiParams& params,
@@ -58,12 +49,6 @@ scenario::ScenarioSpec dolev_spec(Testbed tb, std::size_t n,
                                   double space_min, double space_max,
                                   const std::vector<double>& inputs);
 
-/// Run a batch of specs through scenario::SweepRunner across `jobs` worker
-/// threads (0 = all cores) and project each report; results are in spec
-/// order and bit-identical to running the specs one by one.
-std::vector<Result> run_specs(const std::vector<scenario::ScenarioSpec>& specs,
-                              unsigned jobs = 0);
-
 /// One labeled point on the standard fault axis.
 struct FaultCase {
   std::string name;              ///< row label, e.g. "partition(t,500ms)"
@@ -74,7 +59,7 @@ struct FaultCase {
 /// declarative fault family (fault-free first, then crashes at the
 /// protocol's resilience bound t, both byzantine= behaviours, and all four
 /// adversary= strategies, each sized relative to t). Feed the specs straight
-/// into run_specs / SweepRunner — a fault dimension for any protocol × n
+/// into SweepRunner — a fault dimension for any protocol × n
 /// grid (bench_fault_sweep is the canonical consumer).
 std::vector<FaultCase> fault_axis(const scenario::ScenarioSpec& base);
 

@@ -2,7 +2,7 @@
 /// protocol × substrate — the bench the churn fault family enables.
 ///
 ///   1. Sim churn sweep: protocol × n × churn schedule through SimRuntime
-///      (fanned across cores by run_specs; churn is deterministic, so the
+///      (fanned across cores by SweepRunner; churn is deterministic, so the
 ///      sweep is bit-identical to serial execution). Shows what a restart
 ///      costs in completion time while logical traffic stays flat — the
 ///      simulator's pure-delay restart defers frames, it never re-counts
@@ -111,14 +111,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // Project full reports (recovery counters live in RunReport.nodes, not in
-  // the bench Result), still serially deterministic.
-  std::vector<scenario::RunReport> reports;
-  reports.reserve(specs.size());
-  {
-    scenario::SweepRunner runner(0);
-    reports = runner.run(specs);
-  }
+  const auto reports = scenario::SweepRunner().run(specs);
   const std::vector<int> sw = {10, 6, 12, 12, 10, 8, 9, 10, 10, 6};
   print_row({"protocol", "n", "churn", "runtime_ms", "MB", "msgs", "restarts",
              "down_ms", "catchup", "ok"},

@@ -7,7 +7,7 @@
 ///
 /// Every run is a declarative ScenarioSpec (crashes= / byzantine= /
 /// adversary= are first-class spec fields since the fault plane landed) and
-/// the whole grid executes through bench::run_specs — multi-core, in spec
+/// the whole grid executes through scenario::SweepRunner — multi-core, in spec
 /// order, bit-identical to the historical serial loops.
 
 #include <cstdio>
@@ -70,10 +70,10 @@ int main(int argc, char** argv) {
 
   const std::vector<int> w = {30, 14, 12, 6};
   print_row({"fault mix", "runtime_ms", "MB", "ok"}, w);
-  const auto fault_results = run_specs(fault_specs);
+  const auto fault_results = scenario::SweepRunner().run(fault_specs);
   for (std::size_t i = 0; i < fault_results.size(); ++i) {
     const auto& r = fault_results[i];
-    print_row({fault_labels[i], fmt(r.runtime_ms, 0), fmt(r.megabytes, 2),
+    print_row({fault_labels[i], fmt(r.runtime_ms, 0), fmt(r.megabytes(), 2),
                r.ok ? "y" : "N"},
               w);
   }
@@ -91,11 +91,11 @@ int main(int argc, char** argv) {
         "partition:" + std::to_string(t) + ":" + std::to_string(heal));
     heal_specs.push_back(spec);
   }
-  const auto heal_results = run_specs(heal_specs);
+  const auto heal_results = scenario::SweepRunner().run(heal_specs);
   for (std::size_t i = 0; i < heal_results.size(); ++i) {
     const auto& r = heal_results[i];
     print_row({fmt(static_cast<double>(heals[i]) / 1000.0, 0) + " ms",
-               fmt(r.runtime_ms, 0), fmt(r.megabytes, 2), r.ok ? "y" : "N"},
+               fmt(r.runtime_ms, 0), fmt(r.megabytes(), 2), r.ok ? "y" : "N"},
               w);
   }
 

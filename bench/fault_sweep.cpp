@@ -7,7 +7,7 @@
 /// interesting when the adversary actually shows up).
 ///
 /// All runs are independent ScenarioSpecs fanned across cores by
-/// bench::run_specs (SweepRunner) — the fault axis is just one more sweep
+/// scenario::SweepRunner — the fault axis is just one more sweep
 /// dimension, bit-identical to serial execution.
 
 #include <cstdio>
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   std::vector<ScenarioSpec> specs;
   specs.reserve(grid.size());
   for (const auto& fc : grid) specs.push_back(fc.spec);
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
 
   const std::vector<int> w = {10, 6, 26, 14, 10, 10, 6};
   print_row({"protocol", "n", "fault", "runtime_ms", "MB", "msgs", "ok"}, w);
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     if (!r.ok) ++failures;
     print_row({grid[i].spec.protocol, std::to_string(grid[i].spec.n),
-               grid[i].name, fmt(r.runtime_ms, 0), fmt(r.megabytes, 2),
-               fmt_int(r.messages), r.ok ? "y" : "N"},
+               grid[i].name, fmt(r.runtime_ms, 0), fmt(r.megabytes(), 2),
+               fmt_int(r.honest_msgs), r.ok ? "y" : "N"},
               w);
   }
 

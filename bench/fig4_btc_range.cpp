@@ -19,7 +19,7 @@ int main(int, char**) {
   print_title("Fig 4 — Bitcoin price range histogram + distribution fits",
               "two weeks of per-minute snapshots (20160 samples) from the "
               "synthetic exchange feed (range ~ Fréchet(4.41, 29.3), the "
-              "paper's fitted parameters; see DESIGN.md substitutions).");
+              "paper's fitted parameters; see README.md \"Substitutions\").");
 
   const auto deltas = oracle::range_history(oracle::FeedConfig{}, 20'160, 4);
   const auto s = stats::summarize(deltas);

@@ -17,7 +17,7 @@ using namespace delphi::bench;
 int main(int, char**) {
   print_title("Fig 5 — IoU histogram for drone-based object detection",
               "80000 synthetic detections; IoU loss ~ Gamma per the paper's "
-              "EfficientDet characterization (see DESIGN.md substitutions).");
+              "EfficientDet characterization (see README.md \"Substitutions\").");
 
   drone::DetectionModel model{drone::DetectionConfig{}};
   Rng rng(11);

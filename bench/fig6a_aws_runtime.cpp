@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
   print_title("Fig 6a — runtime vs n on AWS (oracle network)",
               "Delphi config rho0 = 10$, Delta = 2000$, eps = 2$; runtimes in "
-              "milliseconds of simulated time (see EXPERIMENTS.md for the "
-              "testbed model).");
+              "milliseconds of simulated time (see README.md \"Substitutions\" "
+              "for the testbed model).");
 
   auto params = protocol::DelphiParams::oracle_network();
   params.rho0 = 10.0;
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     specs.push_back(abraham_spec(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
                                  200'000.0, in20));
   }
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
 
   const char* names[] = {"Delphi delta=20$", "Delphi delta=180$", "FIN",
                          "Abraham et al. d=20$"};
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     const auto* r = &results[4 * i];
     for (std::size_t k = 0; k < 4; ++k) {
       print_row({std::to_string(sizes[i]), names[k], fmt(r[k].runtime_ms, 0),
-                 fmt(r[k].megabytes, 2), r[k].ok ? "y" : "N"},
+                 fmt(r[k].megabytes(), 2), r[k].ok ? "y" : "N"},
                 w);
     }
     std::printf("  speedup at n=%zu: FIN/Delphi = %.2fx, Abraham/Delphi = "

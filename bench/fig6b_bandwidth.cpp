@@ -39,19 +39,20 @@ int main(int argc, char** argv) {
     specs.push_back(abraham_spec(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
                                  200'000.0, in20));
   }
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const auto* r = &results[4 * i];
-    print_row({std::to_string(sizes[i]), fmt(r[0].megabytes, 2),
-               fmt(r[1].megabytes, 2), fmt(r[2].megabytes, 2),
-               fmt(r[3].megabytes, 2)},
+    print_row({std::to_string(sizes[i]), fmt(r[0].megabytes(), 2),
+               fmt(r[1].megabytes(), 2), fmt(r[2].megabytes(), 2),
+               fmt(r[3].megabytes(), 2)},
               w);
   }
   std::printf(
       "\npaper shape: Delphi grows ~n^2 vs the baselines' ~n^3 and falls "
       "increasingly below Abraham with n. Note: absolute Delphi bytes here "
       "are ~20x the paper's because bundles use plain per-entry coding "
-      "rather than the authors' grouped 3-bit VAL codes — see EXPERIMENTS.md "
-      "(Fig 6b) and ablation_codec for the compressed-codec accounting.\n");
+      "rather than the authors' grouped 3-bit VAL codes — see README.md "
+      "\"Substitutions\" and ablation_codec for the compressed-codec "
+      "accounting.\n");
   return 0;
 }

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     specs.push_back(abraham_spec(Testbed::kCps, n, 4, /*rounds=*/7, -1000.0,
                                  1000.0, in5));
   }
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
 
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const std::size_t n = sizes[i];
@@ -58,16 +58,16 @@ int main(int argc, char** argv) {
     const auto& f = results[4 * i + 2];
     const auto& a = results[4 * i + 3];
     print_row({std::to_string(n), "Delphi delta=5m", fmt(d5.runtime_ms, 0),
-               fmt(d5.megabytes, 2), d5.ok ? "y" : "N"},
+               fmt(d5.megabytes(), 2), d5.ok ? "y" : "N"},
               w);
     print_row({std::to_string(n), "Delphi delta=50m", fmt(d50.runtime_ms, 0),
-               fmt(d50.megabytes, 2), d50.ok ? "y" : "N"},
+               fmt(d50.megabytes(), 2), d50.ok ? "y" : "N"},
               w);
     print_row({std::to_string(n), "FIN", fmt(f.runtime_ms, 0),
-               fmt(f.megabytes, 2), f.ok ? "y" : "N"},
+               fmt(f.megabytes(), 2), f.ok ? "y" : "N"},
               w);
     print_row({std::to_string(n), "Abraham et al. d=5m",
-               fmt(a.runtime_ms, 0), fmt(a.megabytes, 2), a.ok ? "y" : "N"},
+               fmt(a.runtime_ms, 0), fmt(a.megabytes(), 2), a.ok ? "y" : "N"},
               w);
     std::printf(
         "  speedup at n=%zu: FIN/Delphi = %.2fx, Abraham/Delphi = %.2fx, "

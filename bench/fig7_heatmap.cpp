@@ -47,7 +47,7 @@ void heatmap(Testbed tb, std::size_t n, double delta_max,
       specs.push_back(cell_spec(tb, n, delta_max, ar, rr, 17));
     }
   }
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
   auto cell = results.begin();
   std::printf("%s, n = %zu (runtime in seconds)\n",
               tb == Testbed::kAws ? "AWS" : "CPS", n);

@@ -157,7 +157,6 @@ class PingPong final : public net::Protocol {
    public:
     std::size_t wire_size() const override { return 1; }
     void serialize(ByteWriter& w) const override { w.u8(0); }
-    std::string debug() const override { return "ping"; }
   };
   void send(net::Context& ctx, NodeId to) {
     ctx.send(to, 0, std::make_shared<Ping>());

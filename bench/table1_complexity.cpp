@@ -45,16 +45,16 @@ int main(int argc, char** argv) {
                                  inputs));
     specs.push_back(fin_spec(Testbed::kAws, n, 3, inputs));
   }
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
 
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const std::size_t n = sizes[i];
     const double n2 = static_cast<double>(n) * n;
     const double n3 = n2 * n;
-    const auto row = [&](const char* name, const Result& r) {
-      const double bits = r.megabytes * 8e6;
+    const auto row = [&](const char* name, const scenario::RunReport& r) {
+      const double bits = r.megabytes() * 8e6;
       print_row({std::to_string(n), name, fmt(bits, 0),
-                 fmt_int(r.messages), fmt(bits / n2, 0), fmt(bits / n3, 1)},
+                 fmt_int(r.honest_msgs), fmt(bits / n2, 0), fmt(bits / n3, 1)},
                 w);
       if (!r.ok) std::printf("  !! run did not terminate\n");
       return bits;

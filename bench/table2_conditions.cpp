@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       const auto inputs = clustered_inputs(n, 5'000.0, c.delta, 3 + n);
       specs.push_back(delphi_spec(Testbed::kAws, n, 5, p, inputs));
     }
-    const auto results = run_specs(specs);
+    const auto results = scenario::SweepRunner().run(specs);
 
     const std::vector<int> w = {34, 8, 10, 16, 14};
     std::printf("n = %zu\n", n);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       // Round/level counts are static functions of the parameters.
       const auto rounds = p.r_max(n);
       const auto levels = p.num_levels();
-      const double bits = r.megabytes * 8e6;
+      const double bits = r.megabytes() * 8e6;
       print_row({conditions[k].name, std::to_string(rounds),
                  std::to_string(levels), fmt(bits, 0),
                  fmt(bits / (static_cast<double>(n) * n), 0)},

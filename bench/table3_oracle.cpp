@@ -14,7 +14,7 @@
 #include "oracle/dora.hpp"
 #include "oracle/dora_baseline.hpp"
 #include "oracle/feed.hpp"
-#include "sim/harness.hpp"
+#include "sim/simulator.hpp"
 
 using namespace delphi;
 using namespace delphi::bench;

@@ -30,8 +30,7 @@
 #include <memory>
 
 #include "bench/bench_util.hpp"
-#include "net/mux.hpp"
-#include "transport/decoders.hpp"
+#include "bench/flood.hpp"
 #include "transport/tcp.hpp"
 
 using namespace delphi;
@@ -39,202 +38,11 @@ using namespace delphi::bench;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using flood::Clock;
+using flood::seconds_since;
 
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-// ------------------------------------------------------------- flood suite
-
-/// Fixed-size opaque payload (channel 0).
-class FloodMsg final : public net::MessageBody {
- public:
-  explicit FloodMsg(std::size_t size) : size_(size) {}
-  std::size_t wire_size() const override { return size_; }
-  void serialize(ByteWriter& w) const override {
-    for (std::size_t i = 0; i < size_; ++i) {
-      w.u8(static_cast<std::uint8_t>(i));
-    }
-  }
-  std::string debug() const override { return "flood"; }
-
- private:
-  std::size_t size_;
-};
-
-/// Cumulative-count receiver ack (channel 1).
-class AckMsg final : public net::MessageBody {
- public:
-  explicit AckMsg(std::uint32_t count) : count_(count) {}
-  std::uint32_t count() const { return count_; }
-  std::size_t wire_size() const override { return 4; }
-  void serialize(ByteWriter& w) const override { w.u32(count_); }
-  std::string debug() const override { return "ack"; }
-
- private:
-  std::uint32_t count_;
-};
-
-constexpr std::uint32_t kDataChannel = 0;
-constexpr std::uint32_t kAckChannel = 1;
-constexpr std::uint32_t kWindow = 512;  ///< max unacked broadcasts in flight
-constexpr std::uint32_t kAckEvery = 128;
-
-transport::Decoder flood_decoder() {
-  return [](std::uint32_t channel, ByteReader& r) -> net::MessagePtr {
-    if (channel == kAckChannel) return std::make_shared<AckMsg>(r.u32());
-    const std::size_t size = r.remaining();
-    r.raw(size);
-    return std::make_shared<FloodMsg>(size);
-  };
-}
-
-/// Node 0 broadcasts `total` payloads under a credit window; every receiver
-/// acks each kAckEvery-th frame with its cumulative count.
-class FloodSender final : public net::Protocol {
- public:
-  FloodSender(std::uint32_t total, std::size_t payload)
-      : total_(total), payload_(payload) {}
-
-  void on_start(net::Context& ctx) override {
-    acked_.assign(ctx.n(), 0);
-    acked_[ctx.self()] = total_;  // self needs no credit
-    pump(ctx);
-  }
-
-  void on_message(net::Context& ctx, NodeId from, std::uint32_t channel,
-                  const net::MessageBody& body) override {
-    if (channel != kAckChannel) return;  // self-delivered data frame
-    const auto& ack = dynamic_cast<const AckMsg&>(body);
-    if (ack.count() > acked_[from]) acked_[from] = ack.count();
-    pump(ctx);
-  }
-
-  bool terminated() const override { return done_; }
-
- private:
-  void pump(net::Context& ctx) {
-    std::uint32_t floor = total_;
-    for (const std::uint32_t a : acked_) floor = std::min(floor, a);
-    while (sent_ < total_ && sent_ - floor < kWindow) {
-      ctx.broadcast(kDataChannel, std::make_shared<FloodMsg>(payload_));
-      ++sent_;
-    }
-    done_ = floor == total_;
-  }
-
-  std::uint32_t total_;
-  std::size_t payload_;
-  std::uint32_t sent_ = 0;
-  std::vector<std::uint32_t> acked_;
-  bool done_ = false;
-};
-
-class FloodReceiver final : public net::Protocol {
- public:
-  explicit FloodReceiver(std::uint32_t total) : total_(total) {}
-
-  void on_start(net::Context&) override {}
-
-  void on_message(net::Context& ctx, NodeId from, std::uint32_t channel,
-                  const net::MessageBody&) override {
-    if (channel != kDataChannel) return;
-    ++got_;
-    if (got_ % kAckEvery == 0 || got_ == total_) {
-      ctx.send(from, kAckChannel, std::make_shared<AckMsg>(got_));
-    }
-  }
-
-  bool terminated() const override { return got_ >= total_; }
-
- private:
-  std::uint32_t total_;
-  std::uint32_t got_ = 0;
-};
-
-struct FloodResult {
-  bool ok = false;
-  double wall_s = 0.0;
-  std::uint64_t frames = 0;  ///< data frames delivered across all receivers
-  std::uint64_t bytes = 0;   ///< framed bytes the sender put on the wire
-};
-
-FloodResult run_flood(std::size_t n, std::size_t payload, bool auth,
-                      std::uint32_t total) {
-  transport::TcpCluster::Options opts;
-  opts.n = n;
-  opts.auth = auth;
-  opts.seed = 42;
-  opts.timeout_ms = 120'000;
-  transport::TcpCluster cluster(opts);
-  const auto t0 = Clock::now();
-  cluster.start(
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        if (i == 0) return std::make_unique<FloodSender>(total, payload);
-        return std::make_unique<FloodReceiver>(total);
-      },
-      flood_decoder());
-  FloodResult res;
-  res.ok = cluster.wait();
-  res.wall_s = seconds_since(t0);
-  if (res.ok) {
-    res.frames = static_cast<std::uint64_t>(n - 1) * total;
-    res.bytes = cluster.metrics(0).bytes_sent;
-  }
-  return res;
-}
-
-// ------------------------------------------------- multi-instance flood
-
-constexpr std::uint32_t kMuxStride = 1u << 16;
-
-/// The flood decoder behind a mux: wire channels are sid*stride + c.
-transport::Decoder mux_flood_decoder() {
-  const auto inner = flood_decoder();
-  return [inner](std::uint32_t channel, ByteReader& r) {
-    return inner(channel % kMuxStride, r);
-  };
-}
-
-/// `instances` concurrent flood sessions over one mesh via SessionMux, each
-/// broadcasting `per_instance` frames under its own credit window.
-FloodResult run_mux_flood(std::size_t n, std::size_t payload, bool auth,
-                          std::uint32_t per_instance,
-                          std::uint32_t instances) {
-  transport::TcpCluster::Options opts;
-  opts.n = n;
-  opts.auth = auth;
-  opts.seed = 42;
-  opts.timeout_ms = 120'000;
-  transport::TcpCluster cluster(opts);
-  const auto t0 = Clock::now();
-  cluster.start(
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        net::SessionMux::Config c;
-        c.expected = instances;
-        c.stride = kMuxStride;
-        c.mode = net::SessionMux::Mode::kConcurrent;
-        return std::make_unique<net::SessionMux>(
-            c, [i, per_instance, payload](std::uint32_t)
-                   -> std::unique_ptr<net::Protocol> {
-              if (i == 0) {
-                return std::make_unique<FloodSender>(per_instance, payload);
-              }
-              return std::make_unique<FloodReceiver>(per_instance);
-            });
-      },
-      mux_flood_decoder());
-  FloodResult res;
-  res.ok = cluster.wait();
-  res.wall_s = seconds_since(t0);
-  if (res.ok) {
-    res.frames =
-        static_cast<std::uint64_t>(n - 1) * per_instance * instances;
-    res.bytes = cluster.metrics(0).bytes_sent;
-  }
-  return res;
-}
+/// Up to 512 unacked broadcasts, credited every 128 frames.
+constexpr flood::Window kWindow{512, 128};
 
 // --------------------------------------------------------- fan-out section
 
@@ -307,23 +115,6 @@ FanoutCost measure_fanout(std::size_t payload_size, std::size_t fanout,
   return {median(legacy_ns), median(shared_ns)};
 }
 
-// ---------------------------------------------------------- scenario suite
-
-scenario::ScenarioSpec protocol_spec(const std::string& protocol,
-                                     std::size_t n, bool auth,
-                                     std::size_t instances) {
-  scenario::ScenarioSpec spec;
-  spec.protocol = protocol;
-  spec.substrate = scenario::Substrate::kTcp;
-  spec.n = n;
-  spec.seed = 7;
-  spec.instances = instances;  // concurrent feeds over one mesh
-  spec.params["auth"] = auth ? 1.0 : 0.0;
-  spec.params["timeout-ms"] = 120'000;
-  if (protocol == "dolev") spec.params["rounds"] = 6;
-  return spec;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -355,7 +146,7 @@ int main(int argc, char** argv) {
 
   // ---- link flood -------------------------------------------------------
   std::printf("\n-- link flood (node 0 broadcasts, %u-frame window) --\n",
-              kWindow);
+              kWindow.frames);
   const std::vector<int> fw = {6, 10, 6, 10, 10, 12, 10};
   print_row({"n", "payload", "auth", "frames", "wall s", "frames/s", "MB/s"},
             fw);
@@ -369,8 +160,9 @@ int main(int argc, char** argv) {
       {4, 64, true},   {4, 64, false}, {4, 1024, true},
   };
   for (const auto& c : cases) {
-    const std::uint32_t total = quick ? 15'000 : 60'000;
-    const auto r = run_flood(c.n, c.payload, c.auth, total);
+    const std::uint32_t total = quick ? 15'000 : 400'000;
+    const auto r = flood::run<transport::TcpCluster>(c.n, c.payload, c.auth,
+                                                     total, kWindow);
     if (!r.ok) ++failures;
     const double fps = r.ok ? static_cast<double>(r.frames) / r.wall_s : 0.0;
     const double mbs =
@@ -393,10 +185,11 @@ int main(int argc, char** argv) {
   const std::vector<int> mw = {6, 10, 10, 10, 12, 10};
   print_row({"n", "instances", "frames", "wall s", "frames/s", "vs x1"}, mw);
   for (const std::size_t n : {2u, 4u}) {
-    const std::uint32_t total = quick ? 24'000 : 96'000;
+    const std::uint32_t total = quick ? 24'000 : 240'000;
     double base_fps = 0.0;
     for (const std::uint32_t instances : {1u, 2u, 4u, 8u}) {
-      const auto r = run_mux_flood(n, 64, true, total / instances, instances);
+      const auto r = flood::run_mux<transport::TcpCluster>(
+          n, 64, true, total / instances, instances, kWindow);
       if (!r.ok) ++failures;
       const double fps = r.ok ? static_cast<double>(r.frames) / r.wall_s : 0.0;
       if (instances == 1) base_fps = fps;
@@ -430,7 +223,8 @@ int main(int argc, char** argv) {
         for (const bool auth : instances == 1
                                    ? std::vector<bool>{true, false}
                                    : std::vector<bool>{true}) {
-          const auto spec = protocol_spec(protocol, n, auth, instances);
+          const auto spec = flood::protocol_spec(
+              protocol, scenario::Substrate::kTcp, n, auth, instances);
           const auto rep = scenario::TcpRuntime().run(spec);
           if (!rep.ok) ++failures;
           const double fps = rep.ok && rep.runtime_ms > 0.0

@@ -38,7 +38,7 @@ Accum compare(Testbed tb, const protocol::DelphiParams& params,
     specs.push_back(delphi_spec(tb, in.size(), delphi_seed + t, params, in));
     specs.push_back(fin_spec(tb, in.size(), fin_seed + t, in));
   }
-  const auto results = run_specs(specs);
+  const auto results = scenario::SweepRunner().run(specs);
   Accum acc;
   for (std::size_t t = 0; t < trial_inputs.size(); ++t) {
     const auto& d = results[2 * t];

@@ -14,7 +14,7 @@
 
 #include "adaptive/range_estimator.hpp"
 #include "delphi/delphi.hpp"
-#include "sim/harness.hpp"
+#include "scenario/runtime.hpp"
 #include "stats/distributions.hpp"
 
 using namespace delphi;
@@ -33,7 +33,6 @@ std::vector<double> draw_quotes(std::size_t n, double mid, double delta,
 
 int main() {
   const std::size_t n = 7;
-  const std::size_t t = max_faults(n);
 
   adaptive::RangeEstimator::Options opt;
   opt.window = 1440;         // one day of minutes
@@ -70,16 +69,18 @@ int main() {
                               /*rho0=*/2.0, /*eps=*/2.0);
     const auto quotes = draw_quotes(n, mid, delta, rng);
 
-    sim::SimConfig net;
-    net.n = n;
-    net.seed = 7000 + static_cast<std::uint64_t>(minute);
-    auto outcome = sim::run_nodes(net, [&](NodeId i) {
-      protocol::DelphiProtocol::Config cfg;
-      cfg.n = n;
-      cfg.t = t;
-      cfg.params = params;
-      return std::make_unique<protocol::DelphiProtocol>(cfg, quotes[i]);
-    });
+    scenario::ScenarioSpec spec;
+    spec.protocol = "delphi";
+    spec.testbed = scenario::TestbedKind::kFast;
+    spec.n = n;
+    spec.seed = 7000 + static_cast<std::uint64_t>(minute);
+    spec.inputs = quotes;
+    spec.params = {{"space-min", params.space_min},
+                   {"space-max", params.space_max},
+                   {"rho0", params.rho0},
+                   {"eps", params.eps},
+                   {"delta-max", params.delta_max}};
+    const auto rep = scenario::SimRuntime().run(spec);
 
     const char* regime_name =
         minute < 400 ? "calm" : (minute < 800 ? "normal" : "stressed");
@@ -87,8 +88,7 @@ int main() {
                 regime_name, delta, estimator.delta_bound(),
                 estimator.fitted_family().value_or("-").c_str(),
                 params.num_levels(),
-                outcome.honest_outputs.empty() ? -1.0
-                                               : outcome.honest_outputs[0]);
+                rep.outputs.empty() ? -1.0 : rep.outputs[0]);
   }
 
   std::printf(

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "drone/localize.hpp"
-#include "sim/harness.hpp"
+#include "sim/simulator.hpp"
 #include "sim/latency.hpp"
 
 using namespace delphi;

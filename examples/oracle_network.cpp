@@ -15,7 +15,7 @@
 #include "oracle/dora.hpp"
 #include "oracle/feed.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
+#include "sim/simulator.hpp"
 #include "sim/latency.hpp"
 
 using namespace delphi;

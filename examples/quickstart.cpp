@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "delphi/delphi.hpp"
-#include "sim/harness.hpp"
+#include "sim/simulator.hpp"
 
 using namespace delphi;
 
@@ -40,24 +40,31 @@ int main() {
   const double readings[n] = {99.2, 100.1, 100.4, 100.8, 99.9, 101.5, 100.0};
 
   // 4. Run.
-  auto outcome = sim::run_nodes(net, [&](NodeId i) {
-    protocol::DelphiProtocol::Config cfg;
-    cfg.n = n;
-    cfg.t = t;
-    cfg.params = params;
-    return std::make_unique<protocol::DelphiProtocol>(cfg, readings[i]);
-  });
+  protocol::DelphiProtocol::Config cfg;
+  cfg.n = n;
+  cfg.t = t;
+  cfg.params = params;
+  sim::Simulator sim(net);
+  for (NodeId i = 0; i < n; ++i) {
+    sim.add_node(std::make_unique<protocol::DelphiProtocol>(cfg, readings[i]));
+  }
+  const bool terminated = sim.run();
 
-  std::printf("terminated: %s\n", outcome.all_honest_terminated ? "yes" : "no");
+  std::printf("terminated: %s\n", terminated ? "yes" : "no");
   std::printf("outputs:   ");
-  for (double v : outcome.honest_outputs) std::printf(" %.3f", v);
+  for (NodeId i = 0; i < n; ++i) {
+    if (const auto v = sim.node_as<protocol::DelphiProtocol>(i).output_value()) {
+      std::printf(" %.3f", *v);
+    }
+  }
   std::printf("\n");
+  const auto traffic = sim.traffic_totals();
   std::printf("traffic:    %.1f KB in %llu messages, %.0f ms simulated\n",
-              outcome.honest_bytes / 1e3,
-              static_cast<unsigned long long>(outcome.honest_msgs),
-              outcome.metrics.honest_completion / 1000.0);
+              traffic.honest_bytes / 1e3,
+              static_cast<unsigned long long>(traffic.honest_msgs),
+              sim.metrics().honest_completion / 1000.0);
 
   // Every output is within eps of every other and inside the relaxed hull
   // [min - max(rho0, delta), max + max(rho0, delta)] of the readings.
-  return outcome.all_honest_terminated ? 0 : 1;
+  return terminated ? 0 : 1;
 }

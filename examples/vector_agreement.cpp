@@ -16,7 +16,7 @@
 
 #include "multidim/vector_delphi.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
+#include "sim/simulator.hpp"
 #include "stats/distributions.hpp"
 
 using namespace delphi;
@@ -52,7 +52,7 @@ int main() {
 
   // The last t drones are compromised and will stay silent (decoys are
   // filtered the same way — Delphi weights them out unless t+1 echo them).
-  const auto byz = sim::last_t_byzantine(n, t);
+  const std::set<NodeId> byz = {7, 8, 9};
 
   sim::SimConfig net;
   net.n = n;

@@ -16,14 +16,6 @@ void AbaMessage::serialize(ByteWriter& w) const {
   w.u8(value_ ? 1 : 0);
 }
 
-std::string AbaMessage::debug() const {
-  const char* k = kind_ == Kind::kBval  ? "BVAL"
-                  : kind_ == Kind::kAux ? "AUX"
-                                        : "FINISH";
-  return std::string("ABA.") + k + "(r=" + std::to_string(round_) +
-         ", b=" + (value_ ? "1" : "0") + ")";
-}
-
 std::shared_ptr<const AbaMessage> AbaMessage::decode(ByteReader& r) {
   const std::uint8_t k = r.u8();
   DELPHI_REQUIRE(k <= 2, "ABA: unknown message kind");
@@ -138,7 +130,7 @@ void AbaInstance::process_round(net::Context& ctx) {
     if (supporting < cfg_.n - cfg_.t) return;
 
     // Threshold-coin toss: the compute charge is the whole point of modeling
-    // this (see DESIGN.md substitutions).
+    // this (see README.md "Substitutions").
     ctx.charge_compute(cfg_.coin_compute_us);
     const bool c = cfg_.coin->toss(cfg_.instance_id, round_);
     rs.done = true;

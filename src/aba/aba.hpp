@@ -46,7 +46,6 @@ class AbaMessage final : public net::MessageBody {
 
   std::size_t wire_size() const override;
   void serialize(ByteWriter& w) const override;
-  std::string debug() const override;
   static std::shared_ptr<const AbaMessage> decode(ByteReader& r);
 
  private:

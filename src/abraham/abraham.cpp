@@ -42,11 +42,6 @@ void WitnessMessage::serialize(ByteWriter& w) const {
   for (NodeId id : ids_) w.uvarint(id);
 }
 
-std::string WitnessMessage::debug() const {
-  return "WITNESS(r=" + std::to_string(round_) +
-         ", |ids|=" + std::to_string(ids_.size()) + ")";
-}
-
 std::shared_ptr<const WitnessMessage> WitnessMessage::decode(ByteReader& r) {
   const auto round = static_cast<std::uint32_t>(r.uvarint());
   const std::uint64_t count = r.uvarint();

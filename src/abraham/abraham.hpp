@@ -37,7 +37,6 @@ class WitnessMessage final : public net::MessageBody {
 
   std::size_t wire_size() const override;
   void serialize(ByteWriter& w) const override;
-  std::string debug() const override;
   static std::shared_ptr<const WitnessMessage> decode(ByteReader& r);
 
  private:

@@ -4,7 +4,7 @@
 /// repo's stand-in for FIN [27], the state-of-the-art ACS the paper
 /// benchmarks against (Fig 6).
 ///
-/// Construction (BKR-style; see DESIGN.md for why this is a faithful cost
+/// Construction (BKR-style; README.md "Substitutions": a faithful cost
 /// stand-in for FIN): every node reliably broadcasts its input (n parallel
 /// Bracha RBCs), one binary-agreement instance per slot decides inclusion,
 /// and once n-t slots decided 1 the node inputs 0 to the rest. The agreed

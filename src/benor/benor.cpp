@@ -16,14 +16,6 @@ void BenOrMessage::serialize(ByteWriter& w) const {
   w.u8(value_);
 }
 
-std::string BenOrMessage::debug() const {
-  const char* k = kind_ == Kind::kReport
-                      ? "R"
-                      : (kind_ == Kind::kPropose ? "P" : "FINISH");
-  return std::string("BENOR.") + k + "(r=" + std::to_string(round_) +
-         ", v=" + std::to_string(value_) + ")";
-}
-
 std::shared_ptr<const BenOrMessage> BenOrMessage::decode(ByteReader& r) {
   const std::uint8_t kind = r.u8();
   DELPHI_REQUIRE(kind <= 2, "BenOr: bad message kind");

@@ -54,7 +54,6 @@ class BenOrMessage final : public net::MessageBody {
 
   std::size_t wire_size() const override;
   void serialize(ByteWriter& w) const override;
-  std::string debug() const override;
   static std::shared_ptr<const BenOrMessage> decode(ByteReader& r);
 
  private:

@@ -47,12 +47,6 @@ class EchoMessage final : public net::MessageBody {
     w.svarint(value_);
   }
 
-  std::string debug() const override {
-    return std::string("BinAA.ECHO") + (kind_ == 1 ? "1" : "2") +
-           "(r=" + std::to_string(round_) + ", v=" + std::to_string(value_) +
-           ")";
-  }
-
   static std::shared_ptr<const EchoMessage> decode(ByteReader& r) {
     const std::uint8_t kind = r.u8();
     DELPHI_REQUIRE(kind == 1 || kind == 2, "BinAA: bad echo kind");

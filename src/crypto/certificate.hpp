@@ -4,7 +4,7 @@
 ///
 /// The paper's DORA extension has each node sign its rounded Delphi output
 /// and aggregate t+1 signatures into a succinct certificate (BLS in the
-/// paper). Per DESIGN.md we substitute per-node HMAC tags: a certificate is a
+/// paper). README.md "Substitutions": per-node HMAC tags; a certificate is a
 /// value plus t+1 distinct valid node tags. Unforgeability against our
 /// simulated adversary and the t+1 threshold logic — the properties DORA
 /// actually relies on — are identical; signature compute/size costs are

@@ -5,8 +5,8 @@
 /// FIN's ABA instances consume threshold-cryptographic common coins (the
 /// paper: "the most efficient implementation of a common coin requires O(n)
 /// bilinear pairing computations per coin"). Building pairing-based threshold
-/// crypto is out of scope offline; per DESIGN.md we substitute a keyed PRF
-/// that every node evaluates identically:
+/// crypto is out of scope offline; we substitute a keyed PRF that every
+/// node evaluates identically (README.md "Substitutions"):
 ///
 ///     coin(instance, round) = HMAC(seed, instance || round) mod 2
 ///

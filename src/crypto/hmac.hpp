@@ -74,7 +74,7 @@ class KeyStore {
   const Key& channel_key(NodeId i, NodeId j) const;
 
   /// Per-node key used for DORA attestation tags (known to the verifier set;
-  /// stands in for a BLS signing key — see DESIGN.md substitutions).
+  /// stands in for a BLS signing key — see README.md "Substitutions").
   const Key& node_key(NodeId i) const;
 
   /// Number of nodes the store was built for.

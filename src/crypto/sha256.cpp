@@ -35,9 +35,11 @@ using CompressFn = void (*)(std::array<std::uint32_t, 8>& state,
                             const std::uint8_t* blocks,
                             std::size_t nblocks) noexcept;
 
-void compress_scalar(std::array<std::uint32_t, 8>& state,
-                     const std::uint8_t* blocks,
-                     std::size_t nblocks) noexcept {
+}  // namespace
+
+void detail::compress_scalar(std::array<std::uint32_t, 8>& state,
+                             const std::uint8_t* blocks,
+                             std::size_t nblocks) noexcept {
   for (; nblocks > 0; --nblocks, blocks += 64) {
     const std::uint8_t* block = blocks;
     std::uint32_t w[64];
@@ -82,6 +84,8 @@ void compress_scalar(std::array<std::uint32_t, 8>& state,
     state[7] += h;
   }
 }
+
+namespace {
 
 #ifdef DELPHI_SHA256_X86
 
@@ -243,7 +247,7 @@ CompressFn select_compress() noexcept {
     return compress_shani;
   }
 #endif
-  return compress_scalar;
+  return detail::compress_scalar;
 }
 
 CompressFn compress_fn() noexcept {
@@ -254,7 +258,7 @@ CompressFn compress_fn() noexcept {
 }  // namespace
 
 bool sha256_hw_accelerated() noexcept {
-  return compress_fn() != compress_scalar;
+  return compress_fn() != detail::compress_scalar;
 }
 
 Sha256::Sha256() noexcept

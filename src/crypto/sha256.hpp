@@ -63,4 +63,12 @@ Digest sha256(std::string_view s) noexcept;
 /// Hex encoding of a digest (for tests and logs).
 std::string to_hex(const Digest& d);
 
+namespace detail {
+/// The portable compression kernel: absorbs `nblocks` 64-byte blocks into
+/// `state`. Sha256 runs the SHA-NI kernel instead where the CPU has one;
+/// this declaration lets tests check the two give identical digests.
+void compress_scalar(std::array<std::uint32_t, 8>& state,
+                     const std::uint8_t* blocks, std::size_t nblocks) noexcept;
+}  // namespace detail
+
 }  // namespace delphi::crypto

@@ -1,7 +1,5 @@
 #include "delphi/message.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace delphi::protocol {
@@ -36,13 +34,6 @@ void DelphiBundle::serialize(ByteWriter& w) const {
     w.uvarint(e.round);
     w.svarint(e.value);
   }
-}
-
-std::string DelphiBundle::debug() const {
-  std::ostringstream os;
-  os << "DelphiBundle(defaults=" << defaults_.size()
-     << ", explicits=" << explicits_.size() << ")";
-  return os.str();
 }
 
 std::shared_ptr<const DelphiBundle> DelphiBundle::decode(ByteReader& r) {

@@ -56,7 +56,6 @@ class DelphiBundle final : public net::MessageBody {
 
   std::size_t wire_size() const override;
   void serialize(ByteWriter& w) const override;
-  std::string debug() const override;
   static std::shared_ptr<const DelphiBundle> decode(ByteReader& r);
 
  private:

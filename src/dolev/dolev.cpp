@@ -9,11 +9,6 @@ namespace delphi::dolev {
 
 // -------------------------------------------------------- RoundValueMessage
 
-std::string RoundValueMessage::debug() const {
-  return "DOLEV(r=" + std::to_string(round_) + ", v=" + std::to_string(value_) +
-         ")";
-}
-
 std::shared_ptr<const RoundValueMessage> RoundValueMessage::decode(
     ByteReader& r) {
   const auto round = static_cast<std::uint32_t>(r.uvarint());

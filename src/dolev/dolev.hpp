@@ -48,7 +48,6 @@ class RoundValueMessage final : public net::MessageBody {
     w.uvarint(round_);
     w.f64(value_);
   }
-  std::string debug() const override;
   static std::shared_ptr<const RoundValueMessage> decode(ByteReader& r);
 
  private:

@@ -12,7 +12,7 @@
 ///    99.99 % of the time, modeled Gamma (the paper's own upper-bounding
 ///    choice).
 /// We sample both from the published parameters — the evaluation consumes the
-/// models only through these distributions (DESIGN.md substitutions).
+/// models only through these distributions (README.md "Substitutions").
 
 #include <vector>
 

@@ -58,7 +58,6 @@ class MessageBody {
   virtual void serialize(ByteWriter& w) const = 0;
 
   /// One-line description for logs/tests.
-  virtual std::string debug() const = 0;
 
  private:
   mutable std::atomic<std::size_t> cached_wire_size_{0};

@@ -14,6 +14,9 @@ constexpr SimTime kHealJitterUs = 10'000;
 /// need 2^62 sends to wrap into the ascending FIFO range.
 constexpr std::uint64_t kBurstOrderBase = 1ULL << 62;
 
+/// Token-bucket burst credit: this much line-rate time's worth of bytes.
+constexpr SimTime kBucketDepthUs = 20'000;
+
 /// Independent per-directed-link stream from (seed, from, to) — two SplitMix
 /// hops so (from, to) and (to, from) decorrelate.
 std::uint64_t link_seed(std::uint64_t seed, NodeId from, NodeId to) {
@@ -49,8 +52,7 @@ LinkShim::LinkShim(const Config& cfg, NodeId from, NodeId to)
   }
   if (cfg.rate_bytes_per_us > 0.0) {
     rate_ = cfg.rate_bytes_per_us;
-    bucket_cap_ =
-        rate_ * static_cast<double>(std::max<SimTime>(cfg.bucket_depth_us, 0));
+    bucket_cap_ = rate_ * static_cast<double>(kBucketDepthUs);
     tokens_ = bucket_cap_;
   }
   active_ = jitter_max_us_ > 0 || lag_us_ > 0 || heal_us_ > 0 ||

@@ -73,9 +73,8 @@ struct Config {
   double loss_burst_len = 1.0;
 
   /// Token-bucket bandwidth cap in bytes per microsecond (0 = uncapped);
-  /// the bucket holds `bucket_depth_us` worth of line rate as burst credit.
+  /// the bucket holds 20 ms worth of line rate as burst credit.
   double rate_bytes_per_us = 0.0;
-  SimTime bucket_depth_us = 20'000;
 
   /// True when any knob is set — transports skip the shim entirely (and its
   /// holdback bookkeeping) for inert configs.

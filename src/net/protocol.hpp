@@ -118,7 +118,7 @@ class RestartableProtocol {
 };
 
 /// Builds node i's protocol instance. The shared deployment-population hook
-/// of every substrate (simulator harness, TCP cluster, scenario runtimes);
+/// of every substrate (the scenario runtimes and the socket clusters);
 /// Byzantine placements return adversarial implementations.
 using ProtocolFactory = std::function<std::unique_ptr<Protocol>(NodeId id)>;
 

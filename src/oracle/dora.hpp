@@ -12,7 +12,7 @@
 /// relaxation: [m - delta - eps, M + delta + eps].
 ///
 /// Signatures are HMAC attestation shares (crypto/certificate.hpp) standing
-/// in for the paper's BLS aggregates — see DESIGN.md substitutions.
+/// in for the paper's BLS aggregates — see README.md "Substitutions".
 
 #include <optional>
 
@@ -37,9 +37,6 @@ class AttestMessage final : public net::MessageBody {
   void serialize(ByteWriter& w) const override {
     w.svarint(value_index_);
     w.raw(std::span<const std::uint8_t>(tag_.data(), tag_.size()));
-  }
-  std::string debug() const override {
-    return "ATTEST(idx=" + std::to_string(value_index_) + ")";
   }
   static std::shared_ptr<const AttestMessage> decode(ByteReader& r) {
     const std::int64_t idx = r.svarint();

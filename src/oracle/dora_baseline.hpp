@@ -15,7 +15,7 @@
 /// The SMR channel is external and trusted in [20] (a blockchain); we model
 /// it as one designated sequencer process (node id n in an (n+1)-node
 /// deployment) that validates and relays the first submission — see
-/// DESIGN.md substitutions. Signatures are HMAC attestation tags; their
+/// README.md "Substitutions". Signatures are HMAC attestation tags; their
 /// CPU cost is charged per the testbed model (this is DORA's O(n²)
 /// verification bill that Delphi eliminates).
 
@@ -41,7 +41,6 @@ class SignedValueMessage final : public net::MessageBody {
     w.f64(value_);
     w.raw(std::span<const std::uint8_t>(tag_.data(), tag_.size()));
   }
-  std::string debug() const override { return "DORA.SIGNED"; }
   static std::shared_ptr<const SignedValueMessage> decode(ByteReader& r);
 
  private:
@@ -65,7 +64,6 @@ class ValueListMessage final : public net::MessageBody {
 
   std::size_t wire_size() const override;
   void serialize(ByteWriter& w) const override;
-  std::string debug() const override { return "DORA.LIST"; }
   static std::shared_ptr<const ValueListMessage> decode(ByteReader& r);
 
  private:

@@ -12,7 +12,7 @@
 /// Fréchet. Everything downstream (Fig 4's histogram + fits, the
 /// Delta = 2000$ / lambda = 30 calibration, Fig 6 workloads) consumes the
 /// feed only through these statistics, which is why the substitution is
-/// faithful (DESIGN.md).
+/// faithful (README.md "Substitutions").
 
 #include <vector>
 

@@ -15,15 +15,6 @@ void RbcMessage::serialize(ByteWriter& w) const {
   w.bytes(payload_);
 }
 
-std::string RbcMessage::debug() const {
-  switch (kind_) {
-    case Kind::kSend: return "RBC.SEND";
-    case Kind::kEcho: return "RBC.ECHO";
-    case Kind::kReady: return "RBC.READY";
-  }
-  return "RBC.?";
-}
-
 std::shared_ptr<const RbcMessage> RbcMessage::decode(ByteReader& r) {
   const std::uint8_t k = r.u8();
   DELPHI_REQUIRE(k <= 2, "RBC: unknown message kind");

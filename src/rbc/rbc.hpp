@@ -34,7 +34,6 @@ class RbcMessage final : public net::MessageBody {
 
   std::size_t wire_size() const override;
   void serialize(ByteWriter& w) const override;
-  std::string debug() const override;
 
   /// Decode (throws SerializationError / ProtocolViolation on bad input).
   static std::shared_ptr<const RbcMessage> decode(ByteReader& r);

@@ -101,9 +101,15 @@ ProtocolInfo make_binaa_info() {
     c.core.t = spec.t;
     c.core.r_max =
         static_cast<std::uint32_t>(spec.int_param("r-max", 10, 1, 62));
-    // The compact VAL codec needs FIFO links: pass fifo=1 alongside it on
-    // the sim substrate (TCP is FIFO by nature).
+    // The compact VAL codec exists only in the simulator's byte accounting
+    // (serialize() still writes the plain form) and needs FIFO links.
     c.compact = spec.param("compact", 0.0) != 0.0;
+    if (c.compact && (spec.substrate != Substrate::kSim ||
+                      spec.param("fifo", 0.0) == 0.0)) {
+      throw ConfigError(
+          "binaa: compact=1 runs only with substrate=sim fifo=1 (the compact "
+          "codec is accounted, not written, and needs FIFO links)");
+    }
     std::vector<bool> bits(spec.n);
     for (NodeId i = 0; i < spec.n; ++i) bits[i] = binary_input(spec, inputs, i);
     return [c, bits = std::move(bits)](NodeId i) {

@@ -82,7 +82,8 @@ class ProtocolRegistry {
 };
 
 /// Default CPU charge per threshold-coin toss on a testbed — the stand-in
-/// for the O(n) pairing bill of a real common coin (DESIGN.md): a Cachin
+/// for the O(n) pairing bill of a real common coin (README.md
+/// "Substitutions"): a Cachin
 /// coin verifies a quorum of ~n/3+1 shares, one pairing each, at ~0.25 ms
 /// (t2.micro x86) / ~4 ms (Pi 4) per pairing. Zero on the free-CPU testbeds.
 SimTime default_coin_cost(TestbedKind tb, std::size_t n);

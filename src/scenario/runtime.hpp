@@ -8,9 +8,9 @@
 /// full-mesh socket clusters on localhost (stream and datagram transports
 /// respectively, both optionally shaped by the in-process netem shim). All
 /// substrates run the identical protocol state machines (net::Protocol)
-/// built by the ProtocolRegistry, and all report through the same RunReport
-/// — the merge of the historical sim::RunOutcome, bench::Result, and
-/// transport::TransportMetrics mini-APIs.
+/// built by the ProtocolRegistry, and all report through the same RunReport.
+/// SimRuntime is the only way to run a registry protocol on the simulator;
+/// code that builds its own nodes drives sim::Simulator directly.
 ///
 /// Multi-instance runs: when spec.instances > 1, every runtime wraps each
 /// node's protocol in a net::SessionMux (2^16-channel windows, concurrent or

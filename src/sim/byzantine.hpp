@@ -30,7 +30,6 @@ class GarbageMessage final : public net::MessageBody {
   void serialize(ByteWriter& w) const override {
     for (std::size_t i = 0; i < size_; ++i) w.u8(0xA5);
   }
-  std::string debug() const override { return "garbage"; }
 
  private:
   std::size_t size_;

@@ -16,7 +16,7 @@ CostModel CostModel::aws() {
   // CPU reflects measured small-message costs of a tokio/TCP/HMAC stack on
   // burstable single-core instances (tens of µs each) — this is what makes
   // O(n³)-message protocols CPU-bound at n = 160 while latency dominates
-  // for O(n²)-message Delphi (EXPERIMENTS.md, calibration).
+  // for O(n²)-message Delphi (README.md "Substitutions").
   return CostModel{/*uplink_bytes_per_us=*/12.5, /*per_msg_send_us=*/15.0,
                    /*per_msg_recv_us=*/25.0, /*per_byte_cpu_us=*/0.008};
 }

@@ -2,7 +2,7 @@
 /// \file simulator.hpp
 /// Deterministic discrete-event simulator of an asynchronous message-passing
 /// system — the stand-in for the paper's AWS and Raspberry-Pi testbeds (see
-/// DESIGN.md substitutions).
+/// README.md "Substitutions").
 ///
 /// The model captures the three resources that drive the paper's results:
 ///   1. *Latency*  — per-pair one-way delay from a LatencyModel, plus a
@@ -58,6 +58,9 @@
 #include "sim/latency.hpp"
 
 namespace delphi::sim {
+
+/// Builds node i's protocol (the shared alias from net/protocol.hpp).
+using ProtocolFactory = net::ProtocolFactory;
 
 /// CPU and bandwidth cost model. All costs in µs (fractions accumulate in
 /// double and round when applied).

@@ -38,9 +38,17 @@ SharedFrameBody encode_frame_body(std::uint32_t channel,
 SharedFrameBody encode_frame_body(std::uint32_t channel,
                                   const net::MessageBody& msg,
                                   bool authenticated) {
+  const std::size_t size = msg.wire_size_cached();
   return std::make_shared<const std::vector<std::uint8_t>>(encode_body_bytes(
-      channel, msg.wire_size_cached(), authenticated,
-      [&](ByteWriter& w) { msg.serialize(w); }));
+      channel, size, authenticated, [&](ByteWriter& w) {
+        // The length prefix and the byte accounting both come from
+        // wire_size(): a message that writes anything else would desync the
+        // stream and miscount its bytes.
+        const std::size_t start = w.size();
+        msg.serialize(w);
+        DELPHI_ASSERT(w.size() - start == size,
+                      "frame: serialize() wrote a size other than wire_size()");
+      }));
 }
 
 crypto::Digest frame_tag(const crypto::HmacKey& key,

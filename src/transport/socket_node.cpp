@@ -168,9 +168,11 @@ void SocketNode::deliver(NodeId from, std::uint32_t channel,
     const net::MessagePtr msg = decoder_(channel, r);
     r.expect_exhausted();
     dispatch(from, channel, *msg);
-  } catch (const Error&) {
+  } catch (const SerializationError&) {
     // Valid frame, undecodable payload (a garbage-spraying peer): count and
     // drop; the link stays up.
+    ++metrics_.malformed_dropped;
+  } catch (const ProtocolViolation&) {
     ++metrics_.malformed_dropped;
   }
   drain_local();
@@ -190,7 +192,12 @@ void SocketNode::dispatch(NodeId from, std::uint32_t channel,
   try {
     protocol_->on_message(*this, from, channel, body);
     ++metrics_.msgs_delivered;
-  } catch (const Error&) {
+  } catch (const ProtocolViolation&) {
+    // The simulator's rule: only a bad message is dropped. Any other error
+    // raised inside the handler (a send the transport refuses, a broken
+    // invariant) kills the node, so it surfaces in failures().
+    ++metrics_.malformed_dropped;
+  } catch (const SerializationError&) {
     ++metrics_.malformed_dropped;
   }
 }

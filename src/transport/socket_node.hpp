@@ -292,8 +292,8 @@ class SocketNode : public net::Context {
 class SocketCluster {
  public:
   using Clock = SocketNode::Clock;
-  /// Shared factory alias from net/protocol.hpp (same type the simulator
-  /// harness and scenario runtimes consume).
+  /// Shared factory alias from net/protocol.hpp (same type the scenario
+  /// runtimes consume).
   using ProtocolFactory = net::ProtocolFactory;
 
   /// Stops and joins every node thread.

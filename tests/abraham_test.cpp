@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "abraham/abraham.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::abraham {
@@ -23,6 +23,20 @@ AbrahamProtocol::Config abr_cfg(std::size_t n, std::uint32_t rounds) {
   c.space_min = -1e6;
   c.space_max = 1e6;
   return c;
+}
+
+/// abr_cfg's parameters on a registry spec.
+scenario::ScenarioSpec with_abr_params(scenario::ScenarioSpec spec,
+                                       std::uint32_t rounds) {
+  spec.params = {{"rounds", rounds}, {"space-min", -1e6}, {"space-max", 1e6}};
+  return spec;
+}
+
+/// Inputs 0, 1, ..., n-1.
+std::vector<double> iota_inputs(std::size_t n) {
+  std::vector<double> v(n);
+  std::iota(v.begin(), v.end(), 0.0);
+  return v;
 }
 
 struct AbrParam {
@@ -41,23 +55,21 @@ TEST_P(AbrahamSweep, AgreementAndStrictConvexValidity) {
   Rng rng(seed);
   for (auto& v : inputs) v = 50.0 + rng.uniform(0.0, input_spread);
 
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed), [&](NodeId i) {
-        return std::make_unique<AbrahamProtocol>(abr_cfg(n, rounds),
-                                                 inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
+  auto spec = with_abr_params(test::adversarial_spec("abraham", n, seed), rounds);
+  spec.inputs = inputs;
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  ASSERT_EQ(rep.outputs.size(), n);
 
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
   // Strict convex validity — no relaxation at all (Table I).
-  for (double o : outcome.honest_outputs) {
+  for (double o : rep.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
   // eps-agreement: range shrinks at least 2x per round.
   const double eps = input_spread / std::ldexp(1.0, rounds);
-  EXPECT_LE(test::spread(outcome.honest_outputs), std::max(eps, 1e-12));
+  EXPECT_LE(test::spread(rep.outputs), std::max(eps, 1e-12));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -73,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Abraham, ToleratesCrashFaults) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const std::size_t n = 7;
-    const auto byz = sim::last_t_byzantine(n, max_faults(n));
+    const std::set<NodeId> byz = {5, 6};  // t = 2 at the top ids
     std::vector<double> inputs(n);
     Rng rng(seed);
     for (auto& v : inputs) v = rng.uniform(0.0, 20.0);
@@ -131,13 +143,11 @@ TEST(Abraham, ByzantineExtremeValuesGetTrimmed) {
 TEST(Abraham, MoreRoundsTightenAgreement) {
   double prev = 1e9;
   for (std::uint32_t rounds : {1u, 3u, 6u, 9u}) {
-    auto outcome = sim::run_nodes(
-        test::async_config(7, 42), [&](NodeId i) {
-          return std::make_unique<AbrahamProtocol>(abr_cfg(7, rounds),
-                                                   static_cast<double>(i));
-        });
-    ASSERT_TRUE(outcome.all_honest_terminated);
-    const double s = test::spread(outcome.honest_outputs);
+    auto spec = with_abr_params(test::async_spec("abraham", 7, 42), rounds);
+    spec.inputs = iota_inputs(7);
+    const auto rep = scenario::SimRuntime().run(spec);
+    ASSERT_TRUE(rep.ok);
+    const double s = test::spread(rep.outputs);
     EXPECT_LE(s, prev);
     EXPECT_LE(s, 6.0 / std::ldexp(1.0, rounds));  // halving per round
     prev = s;
@@ -190,13 +200,11 @@ TEST(Abraham, CommunicationIsCubicScale) {
   // O(n^3) bits per round: going 4 -> 8 nodes should multiply bytes by ~8
   // (tolerantly bracketed — constants differ).
   auto bytes_for = [](std::size_t n) {
-    auto outcome = sim::run_nodes(
-        test::async_config(n, 12), [&](NodeId i) {
-          return std::make_unique<AbrahamProtocol>(abr_cfg(n, 4),
-                                                   static_cast<double>(i));
-        });
-    EXPECT_TRUE(outcome.all_honest_terminated);
-    return outcome.honest_bytes;
+    auto spec = with_abr_params(test::async_spec("abraham", n, 12), 4);
+    spec.inputs = iota_inputs(n);
+    const auto rep = scenario::SimRuntime().run(spec);
+    EXPECT_TRUE(rep.ok);
+    return rep.honest_bytes;
   };
   const double ratio = static_cast<double>(bytes_for(8)) /
                        static_cast<double>(bytes_for(4));

@@ -9,7 +9,6 @@
 
 #include "acs/acs.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::acs {
@@ -39,22 +38,24 @@ TEST_P(AcsSweep, AgreementAndConvexValidity) {
   Rng rng(seed);
   for (auto& v : inputs) v = 100.0 + rng.uniform(-5.0, 5.0);
 
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed),
-      [&](NodeId i) {
-        return std::make_unique<AcsProtocol>(acs_cfg(n, &coin), inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
+  sim::Simulator sim(test::adversarial_config(n, seed));
+  for (NodeId i = 0; i < n; ++i) {
+    sim.add_node(std::make_unique<AcsProtocol>(acs_cfg(n, &coin), inputs[i]));
+  }
+  ASSERT_TRUE(sim.run());
+  std::vector<double> outputs;
+  for (NodeId i = 0; i < n; ++i) {
+    const auto v = sim.node_as<AcsProtocol>(i).output_value();
+    ASSERT_TRUE(v.has_value());
+    outputs.push_back(*v);
+  }
 
   // Exact agreement (ACS decides one set; the median is a pure function).
-  for (double v : outcome.honest_outputs) {
-    EXPECT_EQ(v, outcome.honest_outputs[0]);
-  }
+  for (double v : outputs) EXPECT_EQ(v, outputs[0]);
   // Exact convex validity: output within [min, max] of honest inputs.
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
-  EXPECT_GE(outcome.honest_outputs[0], *mn);
-  EXPECT_LE(outcome.honest_outputs[0], *mx);
+  EXPECT_GE(outputs[0], *mn);
+  EXPECT_LE(outputs[0], *mx);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,9 +87,8 @@ TEST(Acs, SubsetAgreesAcrossNodes) {
 TEST(Acs, ToleratesCrashFaultsAndExcludesNothingHonest) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const std::size_t n = 7;
-    const std::size_t t = max_faults(n);
     crypto::CommonCoin coin(seed * 13);
-    const auto byz = sim::last_t_byzantine(n, t);
+    const std::set<NodeId> byz = {5, 6};  // t = 2 at the top ids
     std::vector<double> inputs(n);
     Rng rng(seed);
     for (auto& v : inputs) v = 50.0 + rng.uniform(0.0, 1.0);

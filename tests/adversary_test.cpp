@@ -7,12 +7,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "abraham/abraham.hpp"
-#include "binaa/protocol.hpp"
-#include "delphi/delphi.hpp"
-#include "dolev/dolev.hpp"
-#include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
+#include "delphi/params.hpp"
+#include "sim/adversary.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::sim {
@@ -71,20 +67,30 @@ TEST(BurstReorderAdversary, EarlierSendsHeldLonger) {
 
 // -------------------------------------------------- protocols under attack
 
-sim::SimConfig partition_config(std::size_t n, std::uint64_t seed,
-                                std::size_t minority) {
-  auto cfg = test::async_config(n, seed);
-  std::set<NodeId> group_a;
-  for (NodeId i = 0; i < minority; ++i) group_a.insert(i);
-  cfg.adversary =
-      std::make_shared<PartitionAdversary>(group_a, /*heal_at=*/2 * kSecond);
-  return cfg;
+/// Nodes 0..minority-1 cut off from the rest until 2 s.
+scenario::ScenarioSpec partition_spec(const std::string& protocol,
+                                      std::size_t n, std::uint64_t seed,
+                                      std::size_t minority) {
+  auto spec = test::async_spec(protocol, n, seed);
+  spec.adversary = scenario::parse_adversary(
+      "partition:" + std::to_string(minority) + ":2000000");
+  return spec;
 }
 
-sim::SimConfig burst_config(std::size_t n, std::uint64_t seed) {
-  auto cfg = test::async_config(n, seed);
-  cfg.adversary = std::make_shared<BurstReorderAdversary>(50 * kMillisecond);
-  return cfg;
+/// Every message held to the end of its 50 ms window, released LIFO.
+scenario::ScenarioSpec burst_spec(const std::string& protocol, std::size_t n,
+                                  std::uint64_t seed) {
+  auto spec = test::async_spec(protocol, n, seed);
+  spec.adversary = scenario::parse_adversary("burst:50000");
+  return spec;
+}
+
+/// A Delphi spec with delphi_params on explicit inputs.
+scenario::ScenarioSpec with_delphi(scenario::ScenarioSpec spec,
+                                   std::vector<double> inputs) {
+  test::set_delphi_params(spec, delphi_params());
+  spec.inputs = std::move(inputs);
+  return spec;
 }
 
 class AdversarySweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -97,21 +103,15 @@ TEST_P(AdversarySweep, DelphiSurvivesPartition) {
   Rng rng(seed);
   for (auto& v : inputs) v = 400.0 + rng.uniform(0.0, 20.0);
 
-  auto outcome = sim::run_nodes(
-      partition_config(n, seed, /*minority=*/2), [&](NodeId i) {
-        protocol::DelphiProtocol::Config c;
-        c.n = n;
-        c.t = max_faults(n);
-        c.params = p;
-        return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  const auto rep = scenario::SimRuntime().run(
+      with_delphi(partition_spec("delphi", n, seed, /*minority=*/2), inputs));
+  ASSERT_TRUE(rep.ok);
   // Guarantees unchanged; completion necessarily after the heal.
-  EXPECT_GE(outcome.metrics.honest_completion, 2 * kSecond);
+  EXPECT_GE(rep.runtime_ms, 2'000.0);
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
   const double relax = std::max(p.rho0, *mx - *mn);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
-  for (double o : outcome.honest_outputs) {
+  EXPECT_LE(test::spread(rep.outputs), p.eps);
+  for (double o : rep.outputs) {
     EXPECT_GE(o, *mn - relax - 1e-9);
     EXPECT_LE(o, *mx + relax + 1e-9);
   }
@@ -120,47 +120,34 @@ TEST_P(AdversarySweep, DelphiSurvivesPartition) {
 TEST_P(AdversarySweep, DelphiSurvivesBurstReordering) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 7;
-  const auto p = delphi_params();
   std::vector<double> inputs(n);
   Rng rng(seed + 50);
   for (auto& v : inputs) v = 700.0 + rng.uniform(0.0, 8.0);
 
-  auto outcome = sim::run_nodes(burst_config(n, seed), [&](NodeId i) {
-    protocol::DelphiProtocol::Config c;
-    c.n = n;
-    c.t = max_faults(n);
-    c.params = p;
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
+  const auto rep = scenario::SimRuntime().run(
+      with_delphi(burst_spec("delphi", n, seed), inputs));
+  ASSERT_TRUE(rep.ok);
+  EXPECT_LE(test::spread(rep.outputs), delphi_params().eps);
 }
 
 TEST_P(AdversarySweep, DolevSurvivesPartitionWithFaults) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 11;
-  dolev::DolevProtocol::Config cfg;
-  cfg.n = n;
-  cfg.t = dolev::DolevProtocol::max_faults_5t(n);
-  cfg.rounds = 8;
+  const std::size_t t = 2;  // (n - 1) / 5, silent at the top ids
   std::vector<double> inputs(n);
   Rng rng(seed);
   for (auto& v : inputs) v = rng.uniform(100.0, 110.0);
-  const auto byz = last_t_byzantine(n, cfg.t);
 
-  auto outcome = sim::run_nodes(
-      partition_config(n, seed, /*minority=*/3),
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        if (byz.contains(i)) return std::make_unique<SilentProtocol>();
-        return std::make_unique<dolev::DolevProtocol>(cfg, inputs[i]);
-      },
-      byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  std::vector<double> honest_inputs(inputs.begin(),
-                                    inputs.begin() + (n - cfg.t));
+  auto spec = partition_spec("dolev", n, seed, /*minority=*/3);
+  spec.params["rounds"] = 8;
+  spec.crashes = t;
+  spec.inputs = inputs;
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  std::vector<double> honest_inputs(inputs.begin(), inputs.begin() + (n - t));
   const auto [mn, mx] =
       std::minmax_element(honest_inputs.begin(), honest_inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : rep.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
@@ -169,23 +156,17 @@ TEST_P(AdversarySweep, DolevSurvivesPartitionWithFaults) {
 TEST_P(AdversarySweep, AbrahamSurvivesPartition) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 7;
-  abraham::AbrahamProtocol::Config cfg;
-  cfg.n = n;
-  cfg.t = max_faults(n);
-  cfg.rounds = 8;
-  cfg.space_min = -1e6;
-  cfg.space_max = 1e6;
   std::vector<double> inputs(n);
   Rng rng(seed);
   for (auto& v : inputs) v = rng.uniform(-3.0, 3.0);
 
-  auto outcome = sim::run_nodes(
-      partition_config(n, seed, /*minority=*/2), [&](NodeId i) {
-        return std::make_unique<abraham::AbrahamProtocol>(cfg, inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  auto spec = partition_spec("abraham", n, seed, /*minority=*/2);
+  spec.params = {{"rounds", 8}, {"space-min", -1e6}, {"space-max", 1e6}};
+  spec.inputs = inputs;
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : rep.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
@@ -193,17 +174,13 @@ TEST_P(AdversarySweep, AbrahamSurvivesPartition) {
 
 TEST_P(AdversarySweep, BinAaSurvivesBurstReordering) {
   const std::uint64_t seed = GetParam();
-  const std::size_t n = 7;
-  auto outcome = sim::run_nodes(burst_config(n, seed), [&](NodeId i) {
-    binaa::BinAaProtocol::Config c;
-    c.core.n = n;
-    c.core.t = max_faults(n);
-    c.core.r_max = 12;
-    return std::make_unique<binaa::BinAaProtocol>(c, i % 3 == 0);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), std::ldexp(1.0, -12) + 1e-12);
-  for (double o : outcome.honest_outputs) {
+  auto spec = burst_spec("binaa", 7, seed);
+  spec.params["r-max"] = 12;
+  test::set_bit_inputs(spec, [](NodeId i) { return i % 3 == 0; });
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  EXPECT_LE(test::spread(rep.outputs), std::ldexp(1.0, -12) + 1e-12);
+  for (double o : rep.outputs) {
     EXPECT_GE(o, 0.0);
     EXPECT_LE(o, 1.0);
   }
@@ -216,25 +193,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AdversarySweep,
 
 TEST(AdversaryDeterminism, IdenticalSeedsIdenticalRuns) {
   const std::size_t n = 7;
-  const auto p = delphi_params();
-  auto run_once = [&](std::uint64_t seed) {
-    std::vector<double> inputs(n);
-    Rng rng(123);
-    for (auto& v : inputs) v = 250.0 + rng.uniform(0.0, 10.0);
-    return sim::run_nodes(partition_config(n, seed, 2), [&](NodeId i) {
-      protocol::DelphiProtocol::Config c;
-      c.n = n;
-      c.t = max_faults(n);
-      c.params = p;
-      return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-    });
-  };
-  const auto a = run_once(9);
-  const auto b = run_once(9);
-  EXPECT_EQ(a.honest_outputs, b.honest_outputs);
-  EXPECT_EQ(a.honest_bytes, b.honest_bytes);
-  EXPECT_EQ(a.metrics.honest_completion, b.metrics.honest_completion);
-  EXPECT_EQ(a.metrics.events_processed, b.metrics.events_processed);
+  std::vector<double> inputs(n);
+  Rng rng(123);
+  for (auto& v : inputs) v = 250.0 + rng.uniform(0.0, 10.0);
+  const auto spec = with_delphi(partition_spec("delphi", n, 9, 2), inputs);
+  // The whole report: outputs, bytes, completion time, and every node's
+  // delivered count and termination time.
+  const auto a = scenario::SimRuntime().run(spec);
+  const auto b = scenario::SimRuntime().run(spec);
+  EXPECT_TRUE(a.ok);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "benor/benor.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::benor {
@@ -20,10 +19,6 @@ BenOrProtocol::Config benor_cfg(std::size_t n) {
   c.n = n;
   c.t = (n - 1) / 5;
   return c;
-}
-
-std::vector<double> outputs_of(const sim::RunOutcome& out) {
-  return out.honest_outputs;
 }
 
 // ------------------------------------------------------------- construction
@@ -72,26 +67,21 @@ class BenOrSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BenOrSweep, UnanimousInputDecidesThatValueFast) {
   const std::uint64_t seed = GetParam();
   for (const bool input : {false, true}) {
-    const std::size_t n = 6;
-    auto outcome = sim::run_nodes(test::async_config(n, seed), [&](NodeId) {
-      return std::make_unique<BenOrProtocol>(benor_cfg(n), input);
-    });
-    ASSERT_TRUE(outcome.all_honest_terminated);
-    for (double o : outputs_of(outcome)) {
-      EXPECT_DOUBLE_EQ(o, input ? 1.0 : 0.0);
-    }
+    auto spec = test::async_spec("benor", 6, seed);
+    test::set_bit_inputs(spec, [&](NodeId) { return input; });
+    const auto rep = scenario::SimRuntime().run(spec);
+    ASSERT_TRUE(rep.ok);
+    for (double o : rep.outputs) EXPECT_DOUBLE_EQ(o, input ? 1.0 : 0.0);
   }
 }
 
 TEST_P(BenOrSweep, SplitInputsAgreeOnSomeInputValue) {
   const std::uint64_t seed = GetParam();
-  const std::size_t n = 11;
-  auto outcome =
-      sim::run_nodes(test::adversarial_config(n, seed), [&](NodeId i) {
-        return std::make_unique<BenOrProtocol>(benor_cfg(n), i % 2 == 0);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  const auto outs = outputs_of(outcome);
+  auto spec = test::adversarial_spec("benor", 11, seed);
+  test::set_bit_inputs(spec, [](NodeId i) { return i % 2 == 0; });
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  const auto& outs = rep.outputs;
   ASSERT_FALSE(outs.empty());
   for (double o : outs) {
     EXPECT_DOUBLE_EQ(o, outs.front());  // agreement
@@ -100,37 +90,23 @@ TEST_P(BenOrSweep, SplitInputsAgreeOnSomeInputValue) {
 }
 
 TEST_P(BenOrSweep, ToleratesSilentFaults) {
-  const std::uint64_t seed = GetParam();
-  const std::size_t n = 11;
-  const auto cfg = benor_cfg(n);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed),
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        if (byz.contains(i)) return std::make_unique<sim::SilentProtocol>();
-        return std::make_unique<BenOrProtocol>(cfg, true);  // honest unanimous
-      },
-      byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outputs_of(outcome)) EXPECT_DOUBLE_EQ(o, 1.0);
+  // t = 2 silent nodes at the top ids; the honest nodes are unanimous.
+  auto spec = test::adversarial_spec("benor", 11, GetParam());
+  spec.crashes = 2;
+  test::set_bit_inputs(spec, [](NodeId) { return true; });
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  for (double o : rep.outputs) EXPECT_DOUBLE_EQ(o, 1.0);
 }
 
 TEST_P(BenOrSweep, ToleratesGarbageSprayers) {
-  const std::uint64_t seed = GetParam();
-  const std::size_t n = 6;
-  const auto cfg = benor_cfg(n);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
-  auto outcome = sim::run_nodes(
-      test::async_config(n, seed),
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        if (byz.contains(i)) {
-          return std::make_unique<sim::GarbageSprayProtocol>(2);
-        }
-        return std::make_unique<BenOrProtocol>(cfg, false);
-      },
-      byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outputs_of(outcome)) EXPECT_DOUBLE_EQ(o, 0.0);
+  // t = 1 garbage sprayer (2 junk frames of <= 64 B per delivery) at id 5.
+  auto spec = test::async_spec("benor", 6, GetParam());
+  spec.byzantine = scenario::parse_byzantine("garbage:64:1");
+  test::set_bit_inputs(spec, [](NodeId) { return false; });
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  for (double o : rep.outputs) EXPECT_DOUBLE_EQ(o, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BenOrSweep,

@@ -15,7 +15,6 @@
 #include "binaa/message.hpp"
 #include "binaa/protocol.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::binaa {
@@ -38,36 +37,34 @@ class BinAaSweep : public ::testing::TestWithParam<BinAaParam> {};
 
 TEST_P(BinAaSweep, TerminationValidityAgreement) {
   const auto [n, r_max, seed, pattern] = GetParam();
-  std::vector<bool> inputs(n);
-  for (NodeId i = 0; i < n; ++i) {
+  auto spec = test::adversarial_spec("binaa", n, seed);
+  spec.params["r-max"] = r_max;
+  test::set_bit_inputs(spec, [&](NodeId i) {
     switch (pattern) {
-      case 0: inputs[i] = false; break;
-      case 1: inputs[i] = true; break;
-      case 2: inputs[i] = (i % 2 == 1); break;
-      default: inputs[i] = (i == 0); break;
+      case 0: return false;
+      case 1: return true;
+      case 2: return i % 2 == 1;
+      default: return i == 0;
     }
-  }
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed), [&](NodeId i) {
-        return std::make_unique<BinAaProtocol>(proto_cfg(n, r_max), inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
+  });
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  ASSERT_EQ(rep.outputs.size(), n);
 
   // eps-agreement with eps = 2^-r_max (exact dyadic arithmetic).
   const double eps = std::ldexp(1.0, -static_cast<int>(r_max));
-  EXPECT_LE(test::spread(outcome.honest_outputs), eps);
+  EXPECT_LE(test::spread(rep.outputs), eps);
 
   // Binary convex validity.
-  for (double v : outcome.honest_outputs) {
+  for (double v : rep.outputs) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 1.0);
   }
   if (pattern == 0) {
-    for (double v : outcome.honest_outputs) EXPECT_EQ(v, 0.0);
+    for (double v : rep.outputs) EXPECT_EQ(v, 0.0);
   }
   if (pattern == 1) {
-    for (double v : outcome.honest_outputs) EXPECT_EQ(v, 1.0);
+    for (double v : rep.outputs) EXPECT_EQ(v, 1.0);
   }
 }
 
@@ -89,8 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BinAa, ToleratesCrashFaults) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const std::size_t n = 7;
-    const std::size_t t = max_faults(n);
-    const auto byz = sim::last_t_byzantine(n, t);
+    const std::set<NodeId> byz = {5, 6};  // t = 2 at the top ids
     sim::Simulator sim(test::adversarial_config(n, seed));
     for (NodeId i = 0; i < n; ++i) {
       if (byz.contains(i)) {
@@ -172,13 +168,12 @@ TEST(BinAa, RangeHalvesEachRound) {
   // scale / 2^r. We approximate by running with increasing r_max.
   double prev_spread = 1.1;
   for (std::uint32_t r_max : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    auto outcome = sim::run_nodes(
-        test::async_config(4, 99), [&](NodeId i) {
-          return std::make_unique<BinAaProtocol>(proto_cfg(4, r_max),
-                                                 i % 2 == 0);
-        });
-    ASSERT_TRUE(outcome.all_honest_terminated);
-    const double spread = test::spread(outcome.honest_outputs);
+    auto spec = test::async_spec("binaa", 4, 99);
+    spec.params["r-max"] = r_max;
+    test::set_bit_inputs(spec, [](NodeId i) { return i % 2 == 0; });
+    const auto rep = scenario::SimRuntime().run(spec);
+    ASSERT_TRUE(rep.ok);
+    const double spread = test::spread(rep.outputs);
     EXPECT_LE(spread, std::ldexp(1.0, -static_cast<int>(r_max)));
     EXPECT_LE(spread, prev_spread);
     prev_spread = spread;
@@ -186,12 +181,12 @@ TEST(BinAa, RangeHalvesEachRound) {
 }
 
 TEST(BinAa, OutputsAreDyadicWithExpectedGranularity) {
-  auto outcome = sim::run_nodes(
-      test::async_config(7, 5), [&](NodeId i) {
-        return std::make_unique<BinAaProtocol>(proto_cfg(7, 6), i < 3);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double v : outcome.honest_outputs) {
+  auto spec = test::async_spec("binaa", 7, 5);
+  spec.params["r-max"] = 6;
+  test::set_bit_inputs(spec, [](NodeId i) { return i < 3; });
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  for (double v : rep.outputs) {
     const double scaled = v * 64.0;  // 2^6
     EXPECT_EQ(scaled, std::floor(scaled));  // exact dyadic output
   }

@@ -12,7 +12,7 @@
 
 #include "net/message.hpp"
 #include "net/protocol.hpp"
-#include "sim/harness.hpp"
+#include "sim/simulator.hpp"
 
 namespace delphi::sim {
 namespace {
@@ -26,7 +26,6 @@ class PadMessage final : public net::MessageBody {
     w.uvarint(0);
     for (std::size_t i = 0; i < pad_; ++i) w.u8(0);
   }
-  std::string debug() const override { return "PAD"; }
 
  private:
   std::size_t pad_;

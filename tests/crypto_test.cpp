@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "crypto/certificate.hpp"
 #include "crypto/coin.hpp"
 #include "crypto/hmac.hpp"
@@ -59,6 +60,51 @@ TEST(Sha256, PaddingBoundaries) {
     two.update(std::string_view(a).substr(0, len / 2));
     two.update(std::string_view(a).substr(len / 2));
     EXPECT_EQ(to_hex(one.finalize()), to_hex(two.finalize())) << len;
+  }
+}
+
+/// Digest of `msg` through the portable scalar kernel, whatever the CPU
+/// offers: FIPS 180-4 padding (§5.1.1), then every block through
+/// detail::compress_scalar.
+std::string scalar_kernel_hex(std::string_view msg) {
+  std::vector<std::uint8_t> m(msg.begin(), msg.end());
+  const std::uint64_t bits = std::uint64_t{msg.size()} * 8;
+  m.push_back(0x80);
+  while (m.size() % 64 != 56) m.push_back(0);
+  for (int i = 7; i >= 0; --i) {
+    m.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  std::array<std::uint32_t, 8> h = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                    0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                    0x1f83d9ab, 0x5be0cd19};
+  detail::compress_scalar(h, m.data(), m.size() / 64);
+  Digest d{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    d[i] = static_cast<std::uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return to_hex(d);
+}
+
+TEST(Sha256, ScalarKernelMatchesSelectedKernel) {
+  // On a SHA-NI host sha256() never runs the scalar kernel, so every input
+  // class above goes through both kernels here.
+  const auto expect_same = [](std::string_view msg) {
+    EXPECT_EQ(scalar_kernel_hex(msg), to_hex(sha256(msg))) << msg.size();
+  };
+  EXPECT_EQ(scalar_kernel_hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  expect_same("");
+  expect_same("abc");
+  expect_same("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  expect_same(std::string(1'000'000, 'a'));
+  for (std::size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {
+    expect_same(std::string(len, 'x'));
+  }
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string msg(rng.below(1025), '\0');
+    for (char& c : msg) c = static_cast<char>(rng.below(256));
+    expect_same(msg);
   }
 }
 

@@ -16,7 +16,6 @@
 #include "net/mux.hpp"
 #include "scenario/spec.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::protocol {
@@ -43,6 +42,15 @@ DelphiParams small_params(double delta_max = 64.0) {
   p.eps = 1.0;
   p.delta_max = delta_max;
   return p;
+}
+
+/// A registry spec running Delphi with `p` on explicit inputs.
+scenario::ScenarioSpec with_inputs(scenario::ScenarioSpec spec,
+                                   const DelphiParams& p,
+                                   std::vector<double> inputs) {
+  test::set_delphi_params(spec, p);
+  spec.inputs = std::move(inputs);
+  return spec;
 }
 
 DelphiProtocol::Config proto_cfg(std::size_t n, const DelphiParams& p) {
@@ -87,13 +95,11 @@ TEST_P(DelphiSweep, TerminationAgreementValidity) {
   for (auto& v : inputs) {
     v = center + rng.uniform(-input_spread / 2, input_spread / 2);
   }
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed), [&](NodeId i) {
-        return std::make_unique<DelphiProtocol>(proto_cfg(n, p), inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
-  expect_guarantees(inputs, outcome.honest_outputs, p,
+  const auto rep = scenario::SimRuntime().run(
+      with_inputs(test::adversarial_spec("delphi", n, seed), p, inputs));
+  ASSERT_TRUE(rep.ok);
+  ASSERT_EQ(rep.outputs.size(), n);
+  expect_guarantees(inputs, rep.outputs, p,
                     "n=" + std::to_string(n) + " seed=" + std::to_string(seed));
 }
 
@@ -118,27 +124,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Delphi, IdenticalInputsStayWithinRho0) {
   const DelphiParams p = small_params();
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(7, 33), [&](NodeId) {
-        return std::make_unique<DelphiProtocol>(proto_cfg(7, p), 250.0);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) {
-    EXPECT_NEAR(o, 250.0, p.rho0 + 1e-9);
-  }
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
+  const auto rep = scenario::SimRuntime().run(with_inputs(
+      test::adversarial_spec("delphi", 7, 33), p, std::vector<double>(7, 250.0)));
+  ASSERT_TRUE(rep.ok);
+  for (double o : rep.outputs) EXPECT_NEAR(o, 250.0, p.rho0 + 1e-9);
+  EXPECT_LE(test::spread(rep.outputs), p.eps);
 }
 
 TEST(Delphi, InputOnACheckpointIsReproducedExactly) {
   // All honest on checkpoint 500 (a multiple of every rho_l): the weighted
   // average should come out at exactly 500 (weight 1 at that checkpoint).
   const DelphiParams p = small_params(/*delta_max=*/8.0);
-  auto outcome = sim::run_nodes(
-      test::async_config(4, 3), [&](NodeId) {
-        return std::make_unique<DelphiProtocol>(proto_cfg(4, p), 500.0);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) EXPECT_NEAR(o, 500.0, p.rho0);
+  const auto rep = scenario::SimRuntime().run(with_inputs(
+      test::async_spec("delphi", 4, 3), p, std::vector<double>(4, 500.0)));
+  ASSERT_TRUE(rep.ok);
+  for (double o : rep.outputs) EXPECT_NEAR(o, 500.0, p.rho0);
 }
 
 TEST(Delphi, LevelWeightsSumAtLeastHalf) {
@@ -208,7 +208,7 @@ TEST(Delphi, ToleratesCrashFaults) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const std::size_t n = 7;
     const DelphiParams p = small_params();
-    const auto byz = sim::last_t_byzantine(n, max_faults(n));
+    const std::set<NodeId> byz = {5, 6};  // t = 2 at the top ids
     std::vector<double> inputs(n);
     Rng rng(seed + 100);
     for (auto& v : inputs) v = 300.0 + rng.uniform(0.0, 10.0);
@@ -363,19 +363,13 @@ TEST(Delphi, BundleDecodeRejectsOverflowCounts) {
 
 TEST(Delphi, DeterministicAcrossRuns) {
   const DelphiParams p = small_params();
-  auto run_once = [&]() {
-    auto outcome = sim::run_nodes(
-        test::adversarial_config(7, 99), [&](NodeId i) {
-          return std::make_unique<DelphiProtocol>(proto_cfg(7, p),
-                                                  100.0 + i * 0.75);
-        });
-    return std::make_pair(outcome.honest_outputs,
-                          outcome.metrics.total_bytes);
-  };
-  const auto a = run_once();
-  const auto b = run_once();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+  std::vector<double> inputs;
+  for (NodeId i = 0; i < 7; ++i) inputs.push_back(100.0 + i * 0.75);
+  const auto spec =
+      with_inputs(test::adversarial_spec("delphi", 7, 99), p, inputs);
+  // The whole report: outputs, bytes, and every node's counters and
+  // termination time.
+  EXPECT_EQ(scenario::SimRuntime().run(spec), scenario::SimRuntime().run(spec));
 }
 
 TEST(Delphi, InputOutsideSpaceRejected) {
@@ -388,14 +382,11 @@ TEST(Delphi, WorksWithNegativeInputSpace) {
   DelphiParams p = small_params();
   p.space_min = -1000.0;
   p.space_max = 0.0;
-  auto outcome = sim::run_nodes(
-      test::async_config(4, 7), [&](NodeId i) {
-        return std::make_unique<DelphiProtocol>(proto_cfg(4, p),
-                                                -330.0 - i * 0.5);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
   std::vector<double> inputs = {-330.0, -330.5, -331.0, -331.5};
-  expect_guarantees(inputs, outcome.honest_outputs, p, "negative-space");
+  const auto rep = scenario::SimRuntime().run(
+      with_inputs(test::async_spec("delphi", 4, 7), p, inputs));
+  ASSERT_TRUE(rep.ok);
+  expect_guarantees(inputs, rep.outputs, p, "negative-space");
 }
 
 /// Live heap in KB, read as the perf probe reads it: arena bytes in use plus
@@ -457,14 +448,12 @@ TEST(Delphi, FinishedAgreementsRetainBoundedHeap) {
 
 TEST(Delphi, SingleLevelConfiguration) {
   DelphiParams p = small_params(/*delta_max=*/1.0);  // l_M = 0
-  auto outcome = sim::run_nodes(
-      test::async_config(4, 8), [&](NodeId i) {
-        return std::make_unique<DelphiProtocol>(proto_cfg(4, p),
-                                                500.0 + i * 0.1);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  std::vector<double> inputs = {500.0, 500.1, 500.2, 500.3};
-  expect_guarantees(inputs, outcome.honest_outputs, p, "single-level");
+  std::vector<double> inputs;
+  for (NodeId i = 0; i < 4; ++i) inputs.push_back(500.0 + i * 0.1);
+  const auto rep = scenario::SimRuntime().run(
+      with_inputs(test::async_spec("delphi", 4, 8), p, inputs));
+  ASSERT_TRUE(rep.ok);
+  expect_guarantees(inputs, rep.outputs, p, "single-level");
 }
 
 }  // namespace

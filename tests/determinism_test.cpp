@@ -14,7 +14,6 @@
 #include "crypto/coin.hpp"
 #include "delphi/delphi.hpp"
 #include "scenario/runtime.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::sim {
@@ -165,7 +164,7 @@ TEST(Determinism, AbrahamBitIdenticalWithByzantineNode) {
   auto factory = [&](NodeId i) {
     return std::make_unique<abraham::AbrahamProtocol>(c, delphi_inputs()[i]);
   };
-  const auto byz = last_t_byzantine(n, 1);
+  const std::set<NodeId> byz = {6};
   const auto a = trace_run(cps_config(n, 11, false, true), factory, byz);
   const auto b = trace_run(cps_config(n, 11, false, true), factory, byz);
   EXPECT_TRUE(a.all_honest_terminated);

@@ -10,7 +10,6 @@
 
 #include "dolev/dolev.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::dolev {
@@ -24,6 +23,15 @@ DolevProtocol::Config dolev_cfg(std::size_t n, std::uint32_t rounds) {
   c.space_min = -1e6;
   c.space_max = 1e6;
   return c;
+}
+
+/// dolev_cfg's deployment as a registry spec on explicit inputs.
+scenario::ScenarioSpec with_dolev_params(scenario::ScenarioSpec spec,
+                                         std::uint32_t rounds,
+                                         std::vector<double> inputs) {
+  spec.params = {{"rounds", rounds}, {"space-min", -1e6}, {"space-max", 1e6}};
+  spec.inputs = std::move(inputs);
+  return spec;
 }
 
 /// Byzantine node that multicasts a different extreme value to even and odd
@@ -94,24 +102,21 @@ TEST(Dolev, MaxFaults5t) {
 // -------------------------------------------------------------- honest runs
 
 TEST(Dolev, IdenticalInputsStayPut) {
-  const std::size_t n = 6;
-  auto outcome = sim::run_nodes(test::async_config(n, 7), [&](NodeId) {
-    return std::make_unique<DolevProtocol>(dolev_cfg(n, 4), 42.5);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) EXPECT_DOUBLE_EQ(o, 42.5);
+  const auto rep = scenario::SimRuntime().run(with_dolev_params(
+      test::async_spec("dolev", 6, 7), 4, std::vector<double>(6, 42.5)));
+  ASSERT_TRUE(rep.ok);
+  for (double o : rep.outputs) EXPECT_DOUBLE_EQ(o, 42.5);
 }
 
 TEST(Dolev, SingleRoundHalvesRange) {
   const std::size_t n = 11;
   std::vector<double> inputs(n, 0.0);
   inputs[0] = 64.0;  // range 64
-  auto outcome = sim::run_nodes(test::async_config(n, 3), [&](NodeId i) {
-    return std::make_unique<DolevProtocol>(dolev_cfg(n, 1), inputs[i]);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), 32.0);
-  for (double o : outcome.honest_outputs) {
+  const auto rep = scenario::SimRuntime().run(
+      with_dolev_params(test::async_spec("dolev", n, 3), 1, inputs));
+  ASSERT_TRUE(rep.ok);
+  EXPECT_LE(test::spread(rep.outputs), 32.0);
+  for (double o : rep.outputs) {
     EXPECT_GE(o, 0.0);
     EXPECT_LE(o, 64.0);
   }
@@ -132,21 +137,18 @@ TEST_P(DolevSweep, AgreementAndStrictConvexValidity) {
   Rng rng(seed);
   for (auto& v : inputs) v = -25.0 + rng.uniform(0.0, input_spread);
 
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed), [&](NodeId i) {
-        return std::make_unique<DolevProtocol>(dolev_cfg(n, rounds),
-                                               inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
+  const auto rep = scenario::SimRuntime().run(with_dolev_params(
+      test::adversarial_spec("dolev", n, seed), rounds, inputs));
+  ASSERT_TRUE(rep.ok);
+  ASSERT_EQ(rep.outputs.size(), n);
 
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : rep.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
   const double eps = input_spread / std::ldexp(1.0, rounds);
-  EXPECT_LE(test::spread(outcome.honest_outputs), std::max(eps, 1e-12));
+  EXPECT_LE(test::spread(rep.outputs), std::max(eps, 1e-12));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,26 +168,22 @@ TEST_P(DolevFaults, ToleratesSilentFaults) {
   std::vector<double> inputs(n);
   Rng rng(seed);
   for (auto& v : inputs) v = rng.uniform(10.0, 20.0);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
-
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed),
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        if (byz.contains(i)) return std::make_unique<sim::SilentProtocol>();
-        return std::make_unique<DolevProtocol>(cfg, inputs[i]);
-      },
-      byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  // t = 2 silent nodes at the top ids.
+  auto spec =
+      with_dolev_params(test::adversarial_spec("dolev", n, seed), 8, inputs);
+  spec.crashes = cfg.t;
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
 
   std::vector<double> honest_inputs(inputs.begin(),
                                     inputs.begin() + (n - cfg.t));
   const auto [mn, mx] =
       std::minmax_element(honest_inputs.begin(), honest_inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : rep.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
-  EXPECT_LE(test::spread(outcome.honest_outputs), 10.0 / 256.0 + 1e-9);
+  EXPECT_LE(test::spread(rep.outputs), 10.0 / 256.0 + 1e-9);
 }
 
 TEST_P(DolevFaults, ToleratesEquivocators) {
@@ -195,47 +193,54 @@ TEST_P(DolevFaults, ToleratesEquivocators) {
   std::vector<double> inputs(n);
   Rng rng(seed);
   for (auto& v : inputs) v = rng.uniform(-5.0, 5.0);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
+  const std::set<NodeId> byz = {9, 10};  // t = 2 at the top ids
 
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed),
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        if (byz.contains(i)) return std::make_unique<DolevEquivocator>();
-        return std::make_unique<DolevProtocol>(cfg, inputs[i]);
-      },
-      byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  sim::Simulator sim(test::adversarial_config(n, seed));
+  for (NodeId i = 0; i < n; ++i) {
+    if (byz.contains(i)) {
+      sim.add_node(std::make_unique<DolevEquivocator>());
+    } else {
+      sim.add_node(std::make_unique<DolevProtocol>(cfg, inputs[i]));
+    }
+  }
+  sim.set_byzantine(byz);
+  ASSERT_TRUE(sim.run());
 
   std::vector<double> honest_inputs(inputs.begin(),
                                     inputs.begin() + (n - cfg.t));
   const auto [mn, mx] =
       std::minmax_element(honest_inputs.begin(), honest_inputs.end());
-  for (double o : outcome.honest_outputs) {
+  std::vector<double> outputs;
+  for (NodeId i = 0; i < n - cfg.t; ++i) {
+    const auto o = sim.node_as<DolevProtocol>(i).output_value();
+    ASSERT_TRUE(o.has_value());
+    outputs.push_back(*o);
+  }
+  for (double o : outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
-  EXPECT_LE(test::spread(outcome.honest_outputs), 10.0 / 256.0 + 1e-9);
+  EXPECT_LE(test::spread(outputs), 10.0 / 256.0 + 1e-9);
 }
 
 TEST_P(DolevFaults, ToleratesGarbageSprayers) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 6;
   const auto cfg = dolev_cfg(n, 6);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
 
-  auto outcome = sim::run_nodes(
-      test::async_config(n, seed),
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        if (byz.contains(i)) {
-          return std::make_unique<sim::GarbageSprayProtocol>(3);
-        }
-        return std::make_unique<DolevProtocol>(cfg, 100.0 + i);
-      },
-      byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) {
-    EXPECT_GE(o, 100.0);
-    EXPECT_LE(o, 100.0 + n - cfg.t - 1);
+  // t = 1 sprayer at id 5, three junk frames per delivery.
+  sim::Simulator sim(test::async_config(n, seed));
+  for (NodeId i = 0; i + 1 < n; ++i) {
+    sim.add_node(std::make_unique<DolevProtocol>(cfg, 100.0 + i));
+  }
+  sim.add_node(std::make_unique<sim::GarbageSprayProtocol>(3));
+  sim.set_byzantine({5});
+  ASSERT_TRUE(sim.run());
+  for (NodeId i = 0; i + 1 < n; ++i) {
+    const auto o = sim.node_as<DolevProtocol>(i).output_value();
+    ASSERT_TRUE(o.has_value());
+    EXPECT_GE(*o, 100.0);
+    EXPECT_LE(*o, 100.0 + n - cfg.t - 1);
   }
 }
 

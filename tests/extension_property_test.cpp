@@ -8,11 +8,8 @@
 #include <cmath>
 
 #include "adaptive/range_estimator.hpp"
-#include "benor/benor.hpp"
-#include "dolev/dolev.hpp"
 #include "multidim/vector_delphi.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "stats/distributions.hpp"
 #include "tests/test_util.hpp"
 
@@ -75,20 +72,13 @@ TEST_P(DolevContraction, RangeHalvesPerRound) {
   inputs[0] = 0.0;
   inputs[1] = spread0;
 
-  dolev::DolevProtocol::Config cfg;
-  cfg.n = n;
-  cfg.t = dolev::DolevProtocol::max_faults_5t(n);
-  cfg.rounds = rounds;
-  cfg.space_min = -1e6;
-  cfg.space_max = 1e6;
-  auto outcome = sim::run_nodes(test::adversarial_config(n, seed),
-                                [&](NodeId i) {
-                                  return std::make_unique<dolev::DolevProtocol>(
-                                      cfg, inputs[i]);
-                                });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  auto spec = test::adversarial_spec("dolev", n, seed);
+  spec.params = {{"rounds", rounds}, {"space-min", -1e6}, {"space-max", 1e6}};
+  spec.inputs = inputs;
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
   // Contraction factor >= 2 per round (Dolev et al. Lemma 3 adapted).
-  EXPECT_LE(test::spread(outcome.honest_outputs),
+  EXPECT_LE(test::spread(rep.outputs),
             spread0 / std::ldexp(1.0, rounds) + 1e-9)
       << "rounds " << rounds;
 }
@@ -121,7 +111,7 @@ TEST_P(VectorCrash, VectorDelphiSurvivesMidRunCrashes) {
     v[0] = 200.0 + rng.uniform(0.0, 4.0);
     v[1] = 600.0 + rng.uniform(0.0, 4.0);
   }
-  const auto byz = sim::last_t_byzantine(n, t);
+  const std::set<NodeId> byz = {5, 6};  // the top t = 2 ids
 
   sim::Simulator sim(test::adversarial_config(n, seed));
   for (NodeId i = 0; i < n; ++i) {
@@ -161,39 +151,24 @@ class BenOrSchedules : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BenOrSchedules, AgreementUnderBurstReordering) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 11;
-  auto cfg = test::async_config(n, seed);
-  cfg.adversary = std::make_shared<sim::BurstReorderAdversary>(30 * kMillisecond);
-
-  benor::BenOrProtocol::Config bc;
-  bc.n = n;
-  bc.t = (n - 1) / 5;
-  auto outcome = sim::run_nodes(cfg, [&](NodeId i) {
-    return std::make_unique<benor::BenOrProtocol>(bc, i < n / 2);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_FALSE(outcome.honest_outputs.empty());
-  for (double o : outcome.honest_outputs) {
-    EXPECT_DOUBLE_EQ(o, outcome.honest_outputs.front());
-  }
+  auto spec = test::async_spec("benor", n, seed);
+  spec.adversary = scenario::parse_adversary("burst:30000");
+  test::set_bit_inputs(spec, [&](NodeId i) { return i < n / 2; });
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  ASSERT_FALSE(rep.outputs.empty());
+  for (double o : rep.outputs) EXPECT_DOUBLE_EQ(o, rep.outputs.front());
 }
 
 TEST_P(BenOrSchedules, AgreementUnderPartition) {
   const std::uint64_t seed = GetParam();
-  const std::size_t n = 11;
-  auto cfg = test::async_config(n, seed);
-  cfg.adversary = std::make_shared<sim::PartitionAdversary>(
-      std::set<NodeId>{0, 1}, /*heal_at=*/kSecond);
-
-  benor::BenOrProtocol::Config bc;
-  bc.n = n;
-  bc.t = (n - 1) / 5;
-  auto outcome = sim::run_nodes(cfg, [&](NodeId i) {
-    return std::make_unique<benor::BenOrProtocol>(bc, i % 2 == 0);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) {
-    EXPECT_DOUBLE_EQ(o, outcome.honest_outputs.front());
-  }
+  // Nodes {0, 1} cut off from the rest until 1 s.
+  auto spec = test::async_spec("benor", 11, seed);
+  spec.adversary = scenario::parse_adversary("partition:2:1000000");
+  test::set_bit_inputs(spec, [](NodeId i) { return i % 2 == 0; });
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  for (double o : rep.outputs) EXPECT_DOUBLE_EQ(o, rep.outputs.front());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BenOrSchedules,

@@ -19,7 +19,6 @@
 #include "acs/acs.hpp"
 #include "crypto/coin.hpp"
 #include "delphi/delphi.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::sim {
@@ -122,7 +121,7 @@ Observed run_scenario(const std::string& name) {
         [&](NodeId i) {
           return std::make_unique<abraham::AbrahamProtocol>(c, inputs7()[i]);
         },
-        last_t_byzantine(7, 1));
+        {6});
   }
   if (name == "fin_acs_cps_n4") {
     static const crypto::CommonCoin coin(0xDEC0DE);

@@ -6,22 +6,15 @@
 
 #include <algorithm>
 
-#include "abraham/abraham.hpp"
 #include "acs/acs.hpp"
 #include "delphi/delphi.hpp"
 #include "oracle/feed.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "stats/summary.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi {
 namespace {
-
-struct ProtocolRun {
-  sim::RunOutcome outcome;
-  std::vector<double> inputs;
-};
 
 std::vector<double> oracle_inputs(std::size_t n, std::uint64_t seed) {
   oracle::PriceFeed feed(oracle::FeedConfig{}, Rng(seed));
@@ -42,49 +35,48 @@ protocol::DelphiParams oracle_params() {
   return p;
 }
 
-ProtocolRun run_delphi(std::size_t n, std::uint64_t seed,
-                       const std::vector<double>& inputs) {
-  protocol::DelphiProtocol::Config c;
-  c.n = n;
-  c.t = max_faults(n);
-  c.params = oracle_params();
-  ProtocolRun r;
-  r.inputs = inputs;
-  r.outcome = sim::run_nodes(test::async_config(n, seed), [&](NodeId i) {
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
-  return r;
+scenario::ScenarioSpec delphi_spec(scenario::ScenarioSpec spec,
+                                   const std::vector<double>& inputs) {
+  test::set_delphi_params(spec, oracle_params());
+  spec.inputs = inputs;
+  return spec;
 }
 
-ProtocolRun run_acs(std::size_t n, std::uint64_t seed,
-                    const std::vector<double>& inputs,
-                    const crypto::CommonCoin& coin) {
+scenario::RunReport run_delphi(std::size_t n, std::uint64_t seed,
+                               const std::vector<double>& inputs) {
+  return scenario::SimRuntime().run(
+      delphi_spec(test::async_spec("delphi", n, seed), inputs));
+}
+
+/// ACS outputs in node order. Session 0 is not a registry spec (the
+/// registry's ACS session is the spec seed), so this drives the simulator.
+std::vector<double> run_acs(std::size_t n, std::uint64_t seed,
+                            const std::vector<double>& inputs,
+                            const crypto::CommonCoin& coin) {
   acs::AcsProtocol::Config c;
   c.n = n;
   c.t = max_faults(n);
   c.coin = &coin;
-  ProtocolRun r;
-  r.inputs = inputs;
-  r.outcome = sim::run_nodes(test::async_config(n, seed), [&](NodeId i) {
-    return std::make_unique<acs::AcsProtocol>(c, inputs[i]);
-  });
-  return r;
+  sim::Simulator sim(test::async_config(n, seed));
+  for (NodeId i = 0; i < n; ++i) {
+    sim.add_node(std::make_unique<acs::AcsProtocol>(c, inputs[i]));
+  }
+  EXPECT_TRUE(sim.run());
+  std::vector<double> outputs;
+  for (NodeId i = 0; i < n; ++i) {
+    if (const auto v = sim.node_as<acs::AcsProtocol>(i).output_value()) {
+      outputs.push_back(*v);
+    }
+  }
+  return outputs;
 }
 
-ProtocolRun run_abraham(std::size_t n, std::uint64_t seed,
-                        const std::vector<double>& inputs) {
-  abraham::AbrahamProtocol::Config c;
-  c.n = n;
-  c.t = max_faults(n);
-  c.rounds = 10;
-  c.space_min = 0.0;
-  c.space_max = 200'000.0;
-  ProtocolRun r;
-  r.inputs = inputs;
-  r.outcome = sim::run_nodes(test::async_config(n, seed), [&](NodeId i) {
-    return std::make_unique<abraham::AbrahamProtocol>(c, inputs[i]);
-  });
-  return r;
+scenario::RunReport run_abraham(std::size_t n, std::uint64_t seed,
+                                const std::vector<double>& inputs) {
+  auto spec = test::async_spec("abraham", n, seed);
+  spec.params = {{"rounds", 10}, {"space-min", 0.0}, {"space-max", 200'000.0}};
+  spec.inputs = inputs;
+  return scenario::SimRuntime().run(spec);
 }
 
 TEST(Integration, AllThreeProtocolsAgreeOnOracleWorkload) {
@@ -97,29 +89,28 @@ TEST(Integration, AllThreeProtocolsAgreeOnOracleWorkload) {
   const auto acs = run_acs(n, 2, inputs, coin);
   const auto abr = run_abraham(n, 3, inputs);
 
-  for (const auto* run : {&delphi, &acs, &abr}) {
-    ASSERT_TRUE(run->outcome.all_honest_terminated);
-    ASSERT_EQ(run->outcome.honest_outputs.size(), n);
+  for (const auto* rep : {&delphi, &abr}) {
+    ASSERT_TRUE(rep->ok);
+    ASSERT_EQ(rep->outputs.size(), n);
   }
+  ASSERT_EQ(acs.size(), n);
   // Exact protocols stay inside [m, M]; Delphi inside the relaxed interval.
-  for (double v : acs.outcome.honest_outputs) {
+  for (double v : acs) {
     EXPECT_GE(v, s.min);
     EXPECT_LE(v, s.max);
   }
-  for (double v : abr.outcome.honest_outputs) {
+  for (double v : abr.outputs) {
     EXPECT_GE(v, s.min);
     EXPECT_LE(v, s.max);
   }
   const double relax = std::max(2.0, s.range());
-  for (double v : delphi.outcome.honest_outputs) {
+  for (double v : delphi.outputs) {
     EXPECT_GE(v, s.min - relax - 1e-9);
     EXPECT_LE(v, s.max + relax + 1e-9);
   }
   // All three land near the same market price (sanity of the whole stack).
-  EXPECT_NEAR(delphi.outcome.honest_outputs[0], acs.outcome.honest_outputs[0],
-              relax + 2.0);
-  EXPECT_NEAR(abr.outcome.honest_outputs[0], acs.outcome.honest_outputs[0],
-              s.range() + 1e-9);
+  EXPECT_NEAR(delphi.outputs[0], acs[0], relax + 2.0);
+  EXPECT_NEAR(abr.outputs[0], acs[0], s.range() + 1e-9);
 }
 
 TEST(Integration, DelphiBaselineByteGapWidensWithN) {
@@ -133,10 +124,10 @@ TEST(Integration, DelphiBaselineByteGapWidensWithN) {
     const auto inputs = oracle_inputs(n, 11);
     const auto delphi = run_delphi(n, 21, inputs);
     const auto abr = run_abraham(n, 22, inputs);
-    ASSERT_TRUE(delphi.outcome.all_honest_terminated);
-    ASSERT_TRUE(abr.outcome.all_honest_terminated);
-    const double ratio = static_cast<double>(abr.outcome.honest_bytes) /
-                         static_cast<double>(delphi.outcome.honest_bytes);
+    ASSERT_TRUE(delphi.ok);
+    ASSERT_TRUE(abr.ok);
+    const double ratio = static_cast<double>(abr.honest_bytes) /
+                         static_cast<double>(delphi.honest_bytes);
     EXPECT_GT(ratio, prev_ratio_abr);  // the gap widens with n
     prev_ratio_abr = ratio;
   }
@@ -145,30 +136,19 @@ TEST(Integration, DelphiBaselineByteGapWidensWithN) {
 TEST(Integration, AdversarialSchedulingDoesNotBreakAnyProtocol) {
   const std::size_t n = 7;
   const auto inputs = oracle_inputs(n, 31);
-  crypto::CommonCoin coin(31);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    auto cfg = test::adversarial_config(n, seed, /*extra=*/150'000);
+    const auto delphi = scenario::SimRuntime().run(delphi_spec(
+        test::adversarial_spec("delphi", n, seed, /*extra=*/150'000), inputs));
+    EXPECT_TRUE(delphi.ok);
+    EXPECT_LE(test::spread(delphi.outputs), oracle_params().eps);
 
-    protocol::DelphiProtocol::Config dc;
-    dc.n = n;
-    dc.t = max_faults(n);
-    dc.params = oracle_params();
-    auto delphi = sim::run_nodes(cfg, [&](NodeId i) {
-      return std::make_unique<protocol::DelphiProtocol>(dc, inputs[i]);
-    });
-    EXPECT_TRUE(delphi.all_honest_terminated);
-    EXPECT_LE(test::spread(delphi.honest_outputs), dc.params.eps);
-
-    acs::AcsProtocol::Config ac;
-    ac.n = n;
-    ac.t = max_faults(n);
-    ac.coin = &coin;
-    ac.session = seed;
-    auto acs_run = sim::run_nodes(cfg, [&](NodeId i) {
-      return std::make_unique<acs::AcsProtocol>(ac, inputs[i]);
-    });
-    EXPECT_TRUE(acs_run.all_honest_terminated);
-    EXPECT_EQ(test::spread(acs_run.honest_outputs), 0.0);
+    // The registry's ACS session is the seed; its coin is seeded 31.
+    auto acs_spec = test::adversarial_spec("acs", n, seed, 150'000);
+    acs_spec.params["coin-seed"] = 31;
+    acs_spec.inputs = inputs;
+    const auto acs_run = scenario::SimRuntime().run(acs_spec);
+    EXPECT_TRUE(acs_run.ok);
+    EXPECT_EQ(test::spread(acs_run.outputs), 0.0);
   }
 }
 

@@ -10,7 +10,6 @@
 #include "delphi/delphi.hpp"
 #include "net/mux.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "transport/decoders.hpp"
 #include "transport/tcp.hpp"
 #include "tests/test_util.hpp"
@@ -204,7 +203,7 @@ TEST(SessionMux, ToleratesSilentFaultsAcrossSessions) {
   const std::size_t t = max_faults(n);
   const std::size_t sessions = 3;
   const auto readings = make_readings(sessions, n, 77);
-  const auto byz = sim::last_t_byzantine(n, t);
+  const std::set<NodeId> byz = {5, 6};
 
   sim::Simulator sim(test::adversarial_config(n, 77));
   for (NodeId i = 0; i < n; ++i) {

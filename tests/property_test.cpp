@@ -11,7 +11,6 @@
 #include "delphi/delphi.hpp"
 #include "oracle/feed.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "stats/evt.hpp"
 #include "stats/summary.hpp"
 #include "tests/test_util.hpp"
@@ -45,18 +44,14 @@ TEST_P(DistributionDriven, DerivedParametersDeliverGuarantees) {
   ASSERT_LE(s.range(), params.delta_max)
       << c.name << ": EVT bound violated (should be ~never at lambda=20)";
 
-  protocol::DelphiProtocol::Config cfg;
-  cfg.n = n;
-  cfg.t = max_faults(n);
-  cfg.params = params;
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, c.seed), [&](NodeId i) {
-        return std::make_unique<protocol::DelphiProtocol>(cfg, inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated) << c.name;
-  EXPECT_LE(test::spread(outcome.honest_outputs), params.eps) << c.name;
+  auto spec = test::adversarial_spec("delphi", n, c.seed);
+  test::set_delphi_params(spec, params);
+  spec.inputs = inputs;
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok) << c.name;
+  EXPECT_LE(test::spread(rep.outputs), params.eps) << c.name;
   const double relax = std::max(params.rho0, s.range());
-  for (double o : outcome.honest_outputs) {
+  for (double o : rep.outputs) {
     EXPECT_GE(o, s.min - relax - 1e-9) << c.name;
     EXPECT_LE(o, s.max + relax + 1e-9) << c.name;
   }
@@ -99,18 +94,14 @@ TEST_P(SeedSweep, GuaranteesHoldUnderEverySchedule) {
   for (auto& v : inputs) v = 500.0 + rng.uniform(-8.0, 8.0);
   const auto s = stats::summarize(inputs);
 
-  protocol::DelphiProtocol::Config cfg;
-  cfg.n = n;
-  cfg.t = max_faults(n);
-  cfg.params = p;
-  auto outcome = sim::run_nodes(
-      test::adversarial_config(n, seed, /*extra=*/120'000), [&](NodeId i) {
-        return std::make_unique<protocol::DelphiProtocol>(cfg, inputs[i]);
-      });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
+  auto spec = test::adversarial_spec("delphi", n, seed, /*extra=*/120'000);
+  test::set_delphi_params(spec, p);
+  spec.inputs = inputs;
+  const auto rep = scenario::SimRuntime().run(spec);
+  ASSERT_TRUE(rep.ok);
+  EXPECT_LE(test::spread(rep.outputs), p.eps);
   const double relax = std::max(p.rho0, s.range());
-  for (double o : outcome.honest_outputs) {
+  for (double o : rep.outputs) {
     EXPECT_GE(o, s.min - relax - 1e-9);
     EXPECT_LE(o, s.max + relax + 1e-9);
   }

@@ -6,7 +6,6 @@
 
 #include "rbc/rbc.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::rbc {
@@ -32,13 +31,13 @@ class RbcSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(RbcSweep, HonestBroadcasterAllDeliver) {
   const auto [n, seed] = GetParam();
-  auto cfg = test::async_config(n, seed);
+  sim::Simulator sim(test::async_config(n, seed));
   const auto value = payload_of(42);
-  auto outcome = sim::run_nodes(cfg, [&](NodeId i) {
-    return std::make_unique<RbcProtocol>(rbc_cfg(n, 0),
-                                         i == 0 ? value : std::vector<std::uint8_t>{});
-  });
-  EXPECT_TRUE(outcome.all_honest_terminated);
+  for (NodeId i = 0; i < n; ++i) {
+    sim.add_node(std::make_unique<RbcProtocol>(
+        rbc_cfg(n, 0), i == 0 ? value : std::vector<std::uint8_t>{}));
+  }
+  EXPECT_TRUE(sim.run());
 }
 
 TEST_P(RbcSweep, DeliveredValueMatchesBroadcast) {
@@ -57,8 +56,8 @@ TEST_P(RbcSweep, DeliveredValueMatchesBroadcast) {
 
 TEST_P(RbcSweep, ToleratesTCrashedNodes) {
   const auto [n, seed] = GetParam();
-  const std::size_t t = max_faults(n);
-  const auto byz = sim::last_t_byzantine(n, t);
+  std::set<NodeId> byz;  // the top t = max_faults(n) ids
+  for (NodeId i = n - max_faults(n); i < n; ++i) byz.insert(i);
   sim::Simulator sim(test::adversarial_config(n, seed));
   const auto value = payload_of(9);
   for (NodeId i = 0; i < n; ++i) {

@@ -7,7 +7,6 @@
 #include "net/message.hpp"
 #include "net/protocol.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::sim {
@@ -25,7 +24,6 @@ class SeqMessage final : public net::MessageBody {
     w.uvarint(seq_);
     for (std::size_t i = 0; i < pad_; ++i) w.u8(0);
   }
-  std::string debug() const override { return "SEQ"; }
 
  private:
   std::uint32_t seq_;
@@ -303,20 +301,13 @@ TEST(Byzantine, GarbageSprayDoesNotCrashHonestFlood) {
   EXPECT_GT(sim.node_metrics(0).malformed_dropped, 0u);
 }
 
-TEST(Harness, RunNodesCollectsHonestTraffic) {
+TEST(Simulator, TrafficTotalsCountHonestSends) {
   SimConfig cfg = flood_config(10, false, 0);
-  auto outcome = run_nodes(cfg, [](NodeId) {
-    return std::make_unique<Flood>(3);
-  });
+  Simulator sim(cfg);
+  for (NodeId i = 0; i < cfg.n; ++i) sim.add_node(std::make_unique<Flood>(3));
   // Node 0 never terminates (by design), so the run drains to quiescence.
-  EXPECT_FALSE(outcome.all_honest_terminated);
-  EXPECT_EQ(outcome.honest_msgs, 4u * 3u);
-}
-
-TEST(Harness, LastTByzantinePlacement) {
-  const auto ids = last_t_byzantine(10, 3);
-  EXPECT_EQ(ids, (std::set<NodeId>{7, 8, 9}));
-  EXPECT_TRUE(last_t_byzantine(4, 0).empty());
+  EXPECT_FALSE(sim.run());
+  EXPECT_EQ(sim.traffic_totals().honest_msgs, 4u * 3u);
 }
 
 TEST(Simulator, InFlightOverflowRaisesTypedError) {

@@ -11,8 +11,9 @@
 ///     text) through failures(), instead of a bare timeout; dead threads
 ///     make wait() fail fast; and Context::now() counts µs since start();
 ///   * the UDP unacked-map cap is a typed ResourceExhausted at the send
-///     boundary — never a silent drop — and the failure is attributed to the
-///     exhausted node.
+///     boundary — never a silent drop, also when the send happens inside a
+///     message handler — and the failure is attributed to the exhausted
+///     node.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +40,6 @@ class ByteMsg final : public net::MessageBody {
  public:
   std::size_t wire_size() const override { return 1; }
   void serialize(ByteWriter& w) const override { w.u8(0x5A); }
-  std::string debug() const override { return "byte"; }
 };
 
 Decoder byte_decoder() {
@@ -314,6 +314,43 @@ TEST(NodeFailureSurfacing, UdpUnackedCapIsTypedResourceExhausted) {
   EXPECT_NE(mesh.failures()[0].message.find("unacked map"), std::string::npos)
       << mesh.failures()[0].message;
   EXPECT_NE(mesh.failures()[0].message.find("cap"), std::string::npos);
+}
+
+TEST(NodeFailureSurfacing, UdpUnackedCapInsideHandlerKillsTheNode) {
+  // The same cap hit from inside on_message: node 0 sends itself one
+  // message whose handler sprays the unreachable node 1. The handler's
+  // ResourceExhausted is a transport failure, not a bad message, so it must
+  // kill node 0 and name the cause instead of counting as malformed.
+  class SprayOnSelfMessage final : public net::Protocol {
+   public:
+    void on_start(net::Context& ctx) override {
+      ctx.send(ctx.self(), 0, std::make_shared<ByteMsg>());
+    }
+    void on_message(net::Context& ctx, NodeId, std::uint32_t,
+                    const net::MessageBody&) override {
+      for (int i = 0; i < 64; ++i) ctx.send(1, 0, std::make_shared<ByteMsg>());
+    }
+    bool terminated() const override { return false; }
+  };
+  UdpMesh::Options opts;
+  opts.n = 2;
+  opts.timeout_ms = 1'000;
+  opts.max_unacked = 16;
+  opts.netem.partition_k = 1;
+  opts.netem.heal_us = 1'000'000'000;
+  UdpMesh mesh(opts);
+  mesh.start(
+      [](NodeId i) -> std::unique_ptr<net::Protocol> {
+        if (i == 0) return std::make_unique<SprayOnSelfMessage>();
+        return std::make_unique<sim::SilentProtocol>();
+      },
+      byte_decoder());
+  EXPECT_FALSE(mesh.wait());
+  ASSERT_EQ(mesh.failures().size(), 1u);
+  EXPECT_EQ(mesh.failures()[0].id, 0u);
+  EXPECT_NE(mesh.failures()[0].message.find("unacked map"), std::string::npos)
+      << mesh.failures()[0].message;
+  EXPECT_EQ(mesh.metrics(0).malformed_dropped, 0u);
 }
 
 TEST(NodeFailureSurfacing, UdpCapRoomyEnoughForHonestTraffic) {

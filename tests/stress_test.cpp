@@ -7,12 +7,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "abraham/abraham.hpp"
-#include "acs/acs.hpp"
 #include "delphi/delphi.hpp"
-#include "dolev/dolev.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "transport/decoders.hpp"
 #include "transport/tcp.hpp"
 #include "tests/test_util.hpp"
@@ -38,6 +34,31 @@ std::vector<double> clustered_inputs(std::size_t n, std::uint64_t seed,
   return v;
 }
 
+/// A Delphi spec with stress_params on explicit inputs.
+scenario::ScenarioSpec delphi_spec(scenario::ScenarioSpec spec,
+                                   std::vector<double> inputs) {
+  test::set_delphi_params(spec, stress_params());
+  spec.inputs = std::move(inputs);
+  return spec;
+}
+
+/// Large-n network: uniform 0.1–5 ms latency, which no testbed names.
+sim::SimConfig stress_config(std::size_t n, std::uint64_t seed) {
+  sim::SimConfig cfg;
+  cfg.n = n;
+  cfg.seed = seed;
+  cfg.latency = std::make_shared<sim::UniformLatency>(100, 5'000);
+  return cfg;
+}
+
+protocol::DelphiProtocol::Config delphi_cfg(std::size_t n, std::size_t t) {
+  protocol::DelphiProtocol::Config c;
+  c.n = n;
+  c.t = t;
+  c.params = stress_params();
+  return c;
+}
+
 // -------------------------------------------------------------- large scale
 
 TEST(Stress, DelphiFortyNodes) {
@@ -45,22 +66,20 @@ TEST(Stress, DelphiFortyNodes) {
   const auto p = stress_params();
   const auto inputs = clustered_inputs(n, 61, 500.0, 6.0);
 
-  sim::SimConfig cfg;
-  cfg.n = n;
-  cfg.seed = 61;
-  cfg.latency = std::make_shared<sim::UniformLatency>(100, 5'000);
-  auto outcome = sim::run_nodes(cfg, [&](NodeId i) {
-    protocol::DelphiProtocol::Config c;
-    c.n = n;
-    c.t = max_faults(n);
-    c.params = p;
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  sim::Simulator sim(stress_config(n, 61));
+  for (NodeId i = 0; i < n; ++i) {
+    sim.add_node(std::make_unique<protocol::DelphiProtocol>(
+        delphi_cfg(n, max_faults(n)), inputs[i]));
+  }
+  ASSERT_TRUE(sim.run());
+  std::vector<double> outputs;
+  for (NodeId i = 0; i < n; ++i) {
+    outputs.push_back(*sim.node_as<protocol::DelphiProtocol>(i).output_value());
+  }
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
   const double relax = std::max(p.rho0, *mx - *mn);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
-  for (double o : outcome.honest_outputs) {
+  EXPECT_LE(test::spread(outputs), p.eps);
+  for (double o : outputs) {
     EXPECT_GE(o, *mn - relax - 1e-9);
     EXPECT_LE(o, *mx + relax + 1e-9);
   }
@@ -71,26 +90,27 @@ TEST(Stress, DelphiFortyNodesWithMaxFaults) {
   const std::size_t t = max_faults(n);  // 13
   const auto p = stress_params();
   const auto inputs = clustered_inputs(n, 62, 300.0, 4.0);
-  const auto byz = sim::last_t_byzantine(n, t);
+  std::set<NodeId> byz;  // ids 27..39, silent
+  for (NodeId i = n - t; i < n; ++i) byz.insert(i);
 
-  sim::SimConfig cfg;
-  cfg.n = n;
-  cfg.seed = 62;
-  cfg.latency = std::make_shared<sim::UniformLatency>(100, 5'000);
-  auto outcome = sim::run_nodes(
-      cfg,
-      [&](NodeId i) -> std::unique_ptr<net::Protocol> {
-        if (byz.contains(i)) return std::make_unique<sim::SilentProtocol>();
-        protocol::DelphiProtocol::Config c;
-        c.n = n;
-        c.t = t;
-        c.params = p;
-        return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-      },
-      byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_EQ(outcome.honest_outputs.size(), n - t);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
+  sim::Simulator sim(stress_config(n, 62));
+  for (NodeId i = 0; i < n; ++i) {
+    if (byz.contains(i)) {
+      sim.add_node(std::make_unique<sim::SilentProtocol>());
+    } else {
+      sim.add_node(
+          std::make_unique<protocol::DelphiProtocol>(delphi_cfg(n, t), inputs[i]));
+    }
+  }
+  sim.set_byzantine(byz);
+  ASSERT_TRUE(sim.run());
+  std::vector<double> outputs;
+  for (NodeId i = 0; i < n - t; ++i) {
+    const auto v = sim.node_as<protocol::DelphiProtocol>(i).output_value();
+    if (v) outputs.push_back(*v);
+  }
+  EXPECT_EQ(outputs.size(), n - t);
+  EXPECT_LE(test::spread(outputs), p.eps);
 }
 
 // ---------------------------------------------------------- boundary inputs
@@ -100,16 +120,10 @@ TEST(Stress, AllInputsAtSpaceEdges) {
   for (const double edge : {0.0, 1000.0}) {
     const std::size_t n = 7;
     const auto p = stress_params();
-    auto outcome =
-        sim::run_nodes(test::async_config(n, 63), [&](NodeId) {
-          protocol::DelphiProtocol::Config c;
-          c.n = n;
-          c.t = max_faults(n);
-          c.params = p;
-          return std::make_unique<protocol::DelphiProtocol>(c, edge);
-        });
-    ASSERT_TRUE(outcome.all_honest_terminated) << "edge " << edge;
-    for (double o : outcome.honest_outputs) {
+    const auto rep = scenario::SimRuntime().run(delphi_spec(
+        test::async_spec("delphi", n, 63), std::vector<double>(n, edge)));
+    ASSERT_TRUE(rep.ok) << "edge " << edge;
+    for (double o : rep.outputs) {
       EXPECT_NEAR(o, edge, p.rho0 + 1e-9) << "edge " << edge;
     }
   }
@@ -124,16 +138,11 @@ TEST(Stress, TwoClustersAtMaxRange) {
   for (std::size_t i = 0; i < n; ++i) {
     inputs[i] = (i < n / 2) ? 500.0 : 500.0 + p.delta_max;
   }
-  auto outcome = sim::run_nodes(test::adversarial_config(n, 64), [&](NodeId i) {
-    protocol::DelphiProtocol::Config c;
-    c.n = n;
-    c.t = max_faults(n);
-    c.params = p;
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
-  for (double o : outcome.honest_outputs) {
+  const auto rep = scenario::SimRuntime().run(
+      delphi_spec(test::adversarial_spec("delphi", n, 64), inputs));
+  ASSERT_TRUE(rep.ok);
+  EXPECT_LE(test::spread(rep.outputs), p.eps);
+  for (double o : rep.outputs) {
     EXPECT_GE(o, 500.0 - p.delta_max - 1e-9);
     EXPECT_LE(o, 500.0 + 2 * p.delta_max + 1e-9);
   }
@@ -152,55 +161,43 @@ TEST(Stress, AllProtocolsLandNearTheHonestCluster) {
   const double m = *mn_it, M = *mx_it;
 
   const auto p = stress_params();
-  auto delphi_out = sim::run_nodes(test::async_config(n, 65), [&](NodeId i) {
-    protocol::DelphiProtocol::Config c;
-    c.n = n;
-    c.t = max_faults(n);
-    c.params = p;
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
-  abraham::AbrahamProtocol::Config ac;
-  ac.n = n;
-  ac.t = max_faults(n);
-  ac.rounds = 8;
-  ac.space_min = 0.0;
-  ac.space_max = 1000.0;
-  auto abraham_out = sim::run_nodes(test::async_config(n, 66), [&](NodeId i) {
-    return std::make_unique<abraham::AbrahamProtocol>(ac, inputs[i]);
-  });
-  dolev::DolevProtocol::Config dc;
-  dc.n = n;
-  dc.t = dolev::DolevProtocol::max_faults_5t(n);
-  dc.rounds = 8;
-  dc.space_min = 0.0;
-  dc.space_max = 1000.0;
-  auto dolev_out = sim::run_nodes(test::async_config(n, 67), [&](NodeId i) {
-    return std::make_unique<dolev::DolevProtocol>(dc, inputs[i]);
-  });
+  const auto delphi_out = scenario::SimRuntime().run(
+      delphi_spec(test::async_spec("delphi", n, 65), inputs));
+  // Abraham and Dolev: 8 rounds over the space [0, 1000].
+  const std::map<std::string, double> rounds8 = {
+      {"rounds", 8}, {"space-min", 0.0}, {"space-max", 1000.0}};
+  auto abraham_spec = test::async_spec("abraham", n, 66);
+  abraham_spec.params = rounds8;
+  abraham_spec.inputs = inputs;
+  const auto abraham_out = scenario::SimRuntime().run(abraham_spec);
+  auto dolev_spec = test::async_spec("dolev", n, 67);
+  dolev_spec.params = rounds8;
+  dolev_spec.inputs = inputs;
+  const auto dolev_out = scenario::SimRuntime().run(dolev_spec);
 
-  ASSERT_TRUE(delphi_out.all_honest_terminated);
-  ASSERT_TRUE(abraham_out.all_honest_terminated);
-  ASSERT_TRUE(dolev_out.all_honest_terminated);
+  ASSERT_TRUE(delphi_out.ok);
+  ASSERT_TRUE(abraham_out.ok);
+  ASSERT_TRUE(dolev_out.ok);
 
   const double delta = M - m;
   const double relax = std::max(p.rho0, delta);
-  for (double o : abraham_out.honest_outputs) {
+  for (double o : abraham_out.outputs) {
     EXPECT_GE(o, m);
     EXPECT_LE(o, M);
   }
-  for (double o : dolev_out.honest_outputs) {
+  for (double o : dolev_out.outputs) {
     EXPECT_GE(o, m);
     EXPECT_LE(o, M);
   }
-  for (double o : delphi_out.honest_outputs) {
+  for (double o : delphi_out.outputs) {
     EXPECT_GE(o, m - relax - 1e-9);
     EXPECT_LE(o, M + relax + 1e-9);
   }
   // Pairwise: every pair of protocol outputs within the relaxed hull width.
   const double hull = (M + relax) - (m - relax);
-  for (double a : delphi_out.honest_outputs) {
-    for (double b : abraham_out.honest_outputs) EXPECT_LE(std::abs(a - b), hull);
-    for (double b : dolev_out.honest_outputs) EXPECT_LE(std::abs(a - b), hull);
+  for (double a : delphi_out.outputs) {
+    for (double b : abraham_out.outputs) EXPECT_LE(std::abs(a - b), hull);
+    for (double b : dolev_out.outputs) EXPECT_LE(std::abs(a - b), hull);
   }
 }
 

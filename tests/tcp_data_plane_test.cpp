@@ -3,9 +3,7 @@
 /// invariant (shared body + per-link tag == legacy whole-frame encoding,
 /// byte for byte), FrameParser buffer reuse across the lazy-compaction
 /// boundary and under many-small-frames bursts, authenticated-link tamper
-/// rejection, cross-substrate equivalence (TCP honest bytes and outputs
-/// against the simulator's framed_size accounting) for rbc / dolev / delphi,
-/// send-path backpressure (a sender that fills the socket buffer until
+/// rejection, the nodelay knob, send-path backpressure (a sender that fills the socket buffer until
 /// write(2) returns EAGAIN must still deliver every frame in order), and
 /// netem holdback order (a frame due at send time must not overtake due
 /// frames the shim still holds).
@@ -22,7 +20,6 @@
 #include "net/wakeup.hpp"
 #include "scenario/runtime.hpp"
 #include "scenario/spec.hpp"
-#include "tests/test_util.hpp"
 #include "transport/frame.hpp"
 #include "transport/tcp.hpp"
 
@@ -30,7 +27,6 @@ namespace delphi::transport {
 namespace {
 
 using scenario::ScenarioSpec;
-using scenario::SimRuntime;
 using scenario::Substrate;
 using scenario::TcpRuntime;
 
@@ -121,7 +117,6 @@ TEST(SharedFrameBody, MessageSerializingOverloadMatchesSpanOverload) {
     void serialize(ByteWriter& w) const override {
       for (std::uint8_t b : {1, 2, 3, 4, 5}) w.u8(b);
     }
-    std::string debug() const override { return "blob"; }
   };
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
   EXPECT_EQ(*encode_frame_body(9, Blob(), true),
@@ -238,78 +233,7 @@ TEST(Tamper, FlippedTagByteRaisesProtocolViolation) {
   EXPECT_THROW(parser.next_view(), ProtocolViolation);
 }
 
-// -------------------------------------------------- cross-substrate parity
-
-TEST(CrossSubstrate, RbcBytesAndOutputsUnchangedByOverhaul) {
-  // RBC traffic is schedule-independent, so the overhauled TCP data plane
-  // must report exactly the simulator's framed_size accounting — any drift
-  // in the broadcast framing contract shows up here as a byte delta.
-  ScenarioSpec spec;
-  spec.protocol = "rbc";
-  spec.n = 5;
-  spec.seed = 23;
-  spec.inputs = {1.5, 2.5, 3.5, 4.5, 5.5};
-
-  spec.substrate = Substrate::kSim;
-  const auto sim_rep = SimRuntime().run(spec);
-  spec.substrate = Substrate::kTcp;
-  const auto tcp_rep = TcpRuntime().run(spec);
-
-  ASSERT_TRUE(sim_rep.ok);
-  ASSERT_TRUE(tcp_rep.ok);
-  EXPECT_EQ(sim_rep.outputs, tcp_rep.outputs);
-  EXPECT_EQ(sim_rep.honest_bytes, tcp_rep.honest_bytes);
-  EXPECT_EQ(sim_rep.honest_msgs, tcp_rep.honest_msgs);
-}
-
-TEST(CrossSubstrate, DolevBytesMatchWithAndWithoutAuth) {
-  // Both auth modes: the length-prefix/tag accounting of the shared-body
-  // encoding must agree with framed_size in each.
-  for (const double auth : {1.0, 0.0}) {
-    SCOPED_TRACE(auth);
-    ScenarioSpec spec;
-    spec.protocol = "dolev";
-    spec.n = 6;
-    spec.seed = 9;
-    spec.params["rounds"] = 5;
-    spec.params["auth"] = auth;
-    spec.inputs = std::vector<double>(6, 17.0);
-
-    spec.substrate = Substrate::kSim;
-    const auto sim_rep = SimRuntime().run(spec);
-    spec.substrate = Substrate::kTcp;
-    const auto tcp_rep = TcpRuntime().run(spec);
-
-    ASSERT_TRUE(sim_rep.ok);
-    ASSERT_TRUE(tcp_rep.ok);
-    EXPECT_EQ(sim_rep.outputs, tcp_rep.outputs);
-    EXPECT_EQ(sim_rep.honest_bytes, tcp_rep.honest_bytes);
-  }
-}
-
-TEST(CrossSubstrate, DelphiOverTcpStillAgrees) {
-  // Delphi's traffic is schedule-dependent (no exact byte parity), but the
-  // overhauled data plane must still carry it to eps-agreement.
-  ScenarioSpec spec;
-  spec.protocol = "delphi";
-  spec.substrate = Substrate::kTcp;
-  spec.n = 5;
-  spec.seed = 3;
-  spec.center = 500.0;
-  spec.delta = 4.0;
-  spec.params["rho0"] = 1.0;
-  spec.params["eps"] = 1.0;
-  spec.params["delta-max"] = 32.0;
-  spec.params["space-min"] = 0.0;
-  spec.params["space-max"] = 1000.0;
-
-  const auto rep = TcpRuntime().run(spec);
-  ASSERT_TRUE(rep.ok);
-  ASSERT_EQ(rep.outputs.size(), 5u);
-  EXPECT_LE(test::spread(rep.outputs), 1.0 + 1e-9);
-  EXPECT_GT(rep.honest_bytes, 0u);
-  EXPECT_GT(rep.honest_msgs, 0u);
-}
+// ---------------------------------------------------------------- nodelay
 
 TEST(CrossSubstrate, NodelayKnobAcceptedOnTcp) {
   // `nodelay` is a universal substrate param: spec text round-trips and the
@@ -345,7 +269,6 @@ class Blob final : public net::MessageBody {
   explicit Blob(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
   std::size_t wire_size() const override { return bytes_.size(); }
   void serialize(ByteWriter& w) const override { w.raw(bytes_); }
-  std::string debug() const override { return "blob"; }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
  private:

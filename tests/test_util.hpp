@@ -1,18 +1,20 @@
 #pragma once
-/// Shared helpers for the test suite: simulation config builders, input
-/// generators, and protocol-specific Byzantine strategies used across files.
+/// Shared helpers for the test suite: simulation config and scenario-spec
+/// builders, and protocol-specific Byzantine strategies used across files.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "binaa/message.hpp"
+#include "delphi/params.hpp"
 #include "net/protocol.hpp"
 #include "rbc/rbc.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 
 namespace delphi::test {
 
@@ -32,6 +34,49 @@ inline sim::SimConfig adversarial_config(std::size_t n, std::uint64_t seed,
   auto cfg = async_config(n, seed);
   cfg.adversary = std::make_shared<sim::RandomDelayAdversary>(extra);
   return cfg;
+}
+
+/// async_config's network as a spec for scenario::SimRuntime: `testbed=async`
+/// is the same UniformLatency(100, 20'000) with free CPU and auth on.
+inline scenario::ScenarioSpec async_spec(const std::string& protocol,
+                                         std::size_t n, std::uint64_t seed) {
+  scenario::ScenarioSpec spec;
+  spec.protocol = protocol;
+  spec.testbed = scenario::TestbedKind::kAsync;
+  spec.n = n;
+  spec.seed = seed;
+  return spec;
+}
+
+/// adversarial_config's network: async_spec plus
+/// `adversary=random-delay:<extra>`.
+inline scenario::ScenarioSpec adversarial_spec(const std::string& protocol,
+                                               std::size_t n,
+                                               std::uint64_t seed,
+                                               SimTime extra = 50'000) {
+  auto spec = async_spec(protocol, n, seed);
+  spec.adversary.kind = scenario::AdversaryKind::kRandomDelay;
+  spec.adversary.us = static_cast<std::uint64_t>(extra);
+  return spec;
+}
+
+/// Delphi's parameter block as the spec params the registry reads.
+inline void set_delphi_params(scenario::ScenarioSpec& spec,
+                              const protocol::DelphiParams& p) {
+  spec.params["space-min"] = p.space_min;
+  spec.params["space-max"] = p.space_max;
+  spec.params["rho0"] = p.rho0;
+  spec.params["eps"] = p.eps;
+  spec.params["delta-max"] = p.delta_max;
+}
+
+/// Pin node i's bit to bit(i) for the binary protocols, which read
+/// `inputs[i] >= center` as node i's input.
+template <typename BitOf>
+void set_bit_inputs(scenario::ScenarioSpec& spec, BitOf bit) {
+  spec.center = 0.5;
+  spec.inputs.assign(spec.n, 0.0);
+  for (NodeId i = 0; i < spec.n; ++i) spec.inputs[i] = bit(i) ? 1.0 : 0.0;
 }
 
 /// Range (max - min) of a vector.

@@ -1,7 +1,8 @@
 /// Golden wire-format tests: every message type's encoding is pinned to a
 /// fixed byte string. These fail loudly on any accidental format change —
-/// nodes running different builds must stay interoperable, and the byte
-/// accounting in EXPERIMENTS.md depends on these exact layouts.
+/// nodes running different builds must stay interoperable, and the
+/// simulator's byte accounting (README.md "Substitutions") depends on these
+/// exact layouts.
 
 #include <gtest/gtest.h>
 
