@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Build and run every benchmark binary, emitting one machine-readable
+# Build and run every benchmark target CMake configured (the list it writes
+# to <build-dir>/bench_targets.txt), emitting one machine-readable
 # BENCH_<name>.json per bench (plus an aggregate BENCH_SUMMARY.json) so
 # successive PRs can diff perf numbers mechanically.
 #
@@ -31,14 +32,20 @@ if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
 fi
 cmake --build "$BUILD_DIR" --target bench_all -j"$(nproc)"
 
+targets_file="$BUILD_DIR/bench_targets.txt"
+if [[ ! -f $targets_file ]]; then
+  echo "$targets_file missing: configure $BUILD_DIR with DELPHI_BUILD_BENCH=ON" >&2
+  exit 2
+fi
+mapfile -t targets < "$targets_file"
+
 mkdir -p "$OUT_DIR"
 summary_entries=()
 failures=0
 
-for bin in "$BUILD_DIR"/bench_*; do
-  [[ -x $bin && ! -d $bin ]] || continue
-  name=$(basename "$bin")
-  name=${name#bench_}
+for target in ${targets[@]+"${targets[@]}"}; do
+  bin="$BUILD_DIR/$target"
+  name=${target#bench_}
   log="$OUT_DIR/$name.log"
 
   # micro_primitives is a Google Benchmark binary: it has its own JSON

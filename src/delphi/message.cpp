@@ -36,6 +36,30 @@ void DelphiBundle::serialize(ByteWriter& w) const {
   }
 }
 
+net::MessagePtr DelphiBundle::coalesce(
+    std::span<const net::MessagePtr> parts) const {
+  std::size_t nd = 0;
+  std::size_t ne = 0;
+  for (const auto& part : parts) {
+    const auto* b = dynamic_cast<const DelphiBundle*>(part.get());
+    DELPHI_ASSERT(b != nullptr, "bundle: coalescing a foreign body");
+    nd += b->defaults_.size();
+    ne += b->explicits_.size();
+  }
+  std::vector<DefaultEcho> defaults;
+  std::vector<ExplicitEcho> explicits;
+  defaults.reserve(nd);
+  explicits.reserve(ne);
+  for (const auto& part : parts) {
+    const auto& b = static_cast<const DelphiBundle&>(*part);
+    defaults.insert(defaults.end(), b.defaults_.begin(), b.defaults_.end());
+    explicits.insert(explicits.end(), b.explicits_.begin(),
+                     b.explicits_.end());
+  }
+  return std::make_shared<DelphiBundle>(std::move(defaults),
+                                        std::move(explicits));
+}
+
 std::shared_ptr<const DelphiBundle> DelphiBundle::decode(ByteReader& r) {
   // Entry counts are validated against the remaining bytes before any
   // allocation: each entry costs at least 4 bytes on the wire, so a Byzantine

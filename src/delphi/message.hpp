@@ -3,7 +3,9 @@
 /// Delphi's bundled wire format (§III-C "Optimizing Communication").
 ///
 /// One DelphiBundle carries every echo a node produced while handling one
-/// event, across all levels and checkpoints:
+/// event, across all levels and checkpoints (on the socket substrates, every
+/// echo of one event-loop pass: the host merges the pass's bundles with
+/// coalesce()):
 ///  * explicit entries — echoes of *active* checkpoint instances
 ///    (level, k, kind, round, value);
 ///  * default entries — one entry stands for the same echo in EVERY
@@ -37,7 +39,7 @@ struct DefaultEcho {
 };
 
 /// The bundled message.
-class DelphiBundle final : public net::MessageBody {
+class DelphiBundle final : public net::CoalescableBody {
  public:
   DelphiBundle(std::vector<DefaultEcho> defaults,
                std::vector<ExplicitEcho> explicits)
@@ -57,6 +59,13 @@ class DelphiBundle final : public net::MessageBody {
   std::size_t wire_size() const override;
   void serialize(ByteWriter& w) const override;
   static std::shared_ptr<const DelphiBundle> decode(ByteReader& r);
+
+  /// The parts' defaults, then their explicits, each concatenated in part
+  /// order. Delivering it equals delivering the parts one by one: default
+  /// and explicit echoes drive disjoint BinAA instances, and each kind keeps
+  /// its order. Every part must be a DelphiBundle.
+  net::MessagePtr coalesce(
+      std::span<const net::MessagePtr> parts) const override;
 
  private:
   std::vector<DefaultEcho> defaults_;

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -57,8 +58,6 @@ class MessageBody {
   /// Encode the payload (excluding envelope framing and MAC tag).
   virtual void serialize(ByteWriter& w) const = 0;
 
-  /// One-line description for logs/tests.
-
  private:
   mutable std::atomic<std::size_t> cached_wire_size_{0};
 };
@@ -66,6 +65,19 @@ class MessageBody {
 /// Shared immutable handle; a broadcast allocates the body once and shares it
 /// across all n deliveries.
 using MessagePtr = std::shared_ptr<const MessageBody>;
+
+/// A body whose broadcasts a host may merge. The socket substrates hold each
+/// broadcast of a coalescable body until the end of their event-loop pass
+/// and then send one merged body per channel (the simulator sends every
+/// broadcast as it is).
+class CoalescableBody : public MessageBody {
+ public:
+  /// One body whose delivery is equivalent to delivering every part in
+  /// order. `parts` are broadcasts on one channel, in broadcast order; the
+  /// host calls this on the first of them, and every part is of this
+  /// body's type.
+  virtual MessagePtr coalesce(std::span<const MessagePtr> parts) const = 0;
+};
 
 /// Per-message envelope overhead on the wire:
 ///   u32 length frame + uvarint channel + payload + 32-byte HMAC tag.

@@ -161,11 +161,6 @@ ChurnSpec parse_churn(const std::string& value) {
   return c;
 }
 
-std::string to_string(const ChurnSpec& c) {
-  return "churn:" + std::to_string(c.k) + ":" + std::to_string(c.down_us) +
-         ":" + std::to_string(c.up_us);
-}
-
 std::string to_string(const AdversarySpec& a) {
   switch (a.kind) {
     case AdversaryKind::kNone:

@@ -156,8 +156,6 @@ ChurnSpec parse_churn(const std::string& value);
 /// Canonical text of a fault field ("none" when inactive).
 std::string to_string(const AdversarySpec& a);
 std::string to_string(const ByzantineSpec& b);
-/// Canonical `churn:<k>:<down_us>:<up_us>` text.
-std::string to_string(const ChurnSpec& c);
 
 /// Substrate knobs every protocol accepts (auth, fifo, nodelay, timeout-ms,
 /// and the netem shim knobs loss / loss-burst / rate-kbps / rto-ms) —

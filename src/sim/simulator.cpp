@@ -115,11 +115,6 @@ net::Protocol& Simulator::node(NodeId id) {
   return *nodes_[id].protocol;
 }
 
-const net::Protocol& Simulator::node(NodeId id) const {
-  DELPHI_ASSERT(id < nodes_.size(), "node: id out of range");
-  return *nodes_[id].protocol;
-}
-
 const NodeMetrics& Simulator::node_metrics(NodeId id) const {
   DELPHI_ASSERT(id < nodes_.size(), "node_metrics: id out of range");
   return nodes_[id].metrics;

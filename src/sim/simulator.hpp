@@ -180,7 +180,6 @@ class Simulator {
 
   /// Access a node's protocol (e.g. to read outputs after run()).
   net::Protocol& node(NodeId id);
-  const net::Protocol& node(NodeId id) const;
 
   /// Typed access helper.
   template <typename T>

@@ -112,6 +112,48 @@ void SocketNode::send(NodeId to, std::uint32_t channel, net::MessagePtr msg) {
 }
 
 void SocketNode::broadcast(std::uint32_t channel, net::MessagePtr msg) {
+  if (dynamic_cast<const net::CoalescableBody*>(msg.get()) != nullptr) {
+    held_broadcasts_.push_back(
+        {channel, static_cast<std::uint32_t>(held_broadcasts_.size()),
+         std::move(msg)});
+    return;
+  }
+  broadcast_now(channel, std::move(msg));
+}
+
+void SocketNode::end_pass() {
+  while (!held_broadcasts_.empty()) {
+    // Group by channel, broadcast order within each: a sort, so many
+    // sessions sharing one pass cost m log m, not a scan per broadcast.
+    auto& held = held_broadcasts_;
+    std::sort(held.begin(), held.end(),
+              [](const HeldBroadcast& a, const HeldBroadcast& b) {
+                return a.channel != b.channel ? a.channel < b.channel
+                                              : a.order < b.order;
+              });
+    for (std::size_t i = 0; i < held.size();) {
+      std::size_t end = i + 1;
+      while (end < held.size() && held[end].channel == held[i].channel) ++end;
+      net::MessagePtr msg = std::move(held[i].msg);
+      if (end - i > 1) {
+        parts_.push_back(std::move(msg));
+        for (std::size_t k = i + 1; k < end; ++k) {
+          parts_.push_back(std::move(held[k].msg));
+        }
+        msg = static_cast<const net::CoalescableBody&>(*parts_.front())
+                  .coalesce(parts_);
+        parts_.clear();
+      }
+      broadcast_now(held[i].channel, std::move(msg));
+      i = end;
+    }
+    held.clear();
+    drain_local();  // its handlers may hold the next round
+  }
+  note_termination();
+}
+
+void SocketNode::broadcast_now(std::uint32_t channel, net::MessagePtr msg) {
   // One serialization for all destinations: the body (length prefix +
   // channel + payload) is immutable and shared; only per-link tags differ.
   const SharedFrameBody body = encode_frame_body(channel, *msg, auth_);
@@ -263,7 +305,7 @@ void SocketNode::come_up() {
   reopen_io();
   if (have_snapshot_) restore_protocol();
   drain_local();
-  note_termination();
+  end_pass();  // the caller's pass polls next: hold nothing across it
 }
 
 void SocketNode::restore_protocol() {

@@ -12,6 +12,10 @@
 ///     honest bytes counted at the logical send (net::framed_size), local
 ///     self-delivery, a per-node rng, and now() in µs since the cluster
 ///     epoch (the simulator's "µs since run start");
+///   * broadcast coalescing: a broadcast of a net::CoalescableBody waits
+///     until the substrate's event loop ends its pass (end_pass), which
+///     merges each channel's waiting broadcasts into one body and sends
+///     that; nothing waits across a poll or a dark window;
 ///   * decode → expect_exhausted → dispatch, counting malformed payloads;
 ///   * the termination notice (a wakeup-fd signal, so wait() never ticks)
 ///     and error capture for failures();
@@ -167,6 +171,8 @@ class SocketNode : public net::Context {
   /// the churn schedule run on (cluster-relative, like sim time).
   SimTime now() const final;
   void send(NodeId to, std::uint32_t channel, net::MessagePtr msg) final;
+  /// A net::CoalescableBody waits for end_pass(); any other body leaves
+  /// now, as every send does.
   void broadcast(std::uint32_t channel, net::MessagePtr msg) final;
   void charge_compute(SimTime) final {}  // real cycles are already spent
   Rng& rng() final { return rng_; }
@@ -218,6 +224,13 @@ class SocketNode : public net::Context {
   /// Deliver every queued self-message (handlers may enqueue more).
   void drain_local();
 
+  /// End one event-loop pass: merge each channel's held broadcasts into one
+  /// body, send it to every peer and deliver it to self, and repeat while
+  /// those self-deliveries hold more; then note_termination(). The loops
+  /// call it at the top of every pass, before the churn check and their
+  /// flush.
+  void end_pass();
+
   /// Raise `done` (and wake wait()) once the protocol has terminated.
   void note_termination();
 
@@ -257,6 +270,8 @@ class SocketNode : public net::Context {
  private:
   void dispatch(NodeId from, std::uint32_t channel,
                 const net::MessageBody& body);
+  /// Encode once, post to every peer, and queue the self-delivery.
+  void broadcast_now(std::uint32_t channel, net::MessagePtr msg);
   /// Count one logical frame and hand it to the substrate.
   void post(NodeId to, const SharedFrameBody& body);
   void go_down(SimTime up_at);
@@ -271,6 +286,15 @@ class SocketNode : public net::Context {
   net::WakeupFd& done_wake_;
   Rng rng_;
   std::deque<std::pair<std::uint32_t, net::MessagePtr>> local_;
+  /// Coalescable broadcasts of the current pass; `order` is the position in
+  /// broadcast order. Both vectors keep their capacity from pass to pass.
+  struct HeldBroadcast {
+    std::uint32_t channel = 0;
+    std::uint32_t order = 0;
+    net::MessagePtr msg;
+  };
+  std::vector<HeldBroadcast> held_broadcasts_;
+  std::vector<net::MessagePtr> parts_;
   /// This node's own restart schedule (sorted by down_us) and dark state.
   std::vector<ChurnWindow> windows_;
   std::size_t next_window_ = 0;

@@ -59,6 +59,10 @@ crypto::Digest hello_tag(const crypto::Key& key, NodeId initiator,
 /// without completing its hello before it is declared half-open and dropped.
 constexpr SimTime kDialTimeoutUs = 2'000'000;
 
+/// The receive buffer, and so the most bytes a node reads from one peer in
+/// one event-loop pass (see read_peer).
+constexpr std::size_t kReadBufferBytes = 64 * 1024;
+
 void set_nodelay(int fd) {
   const int one = 1;
   // Best-effort: latency tuning, not correctness.
@@ -87,6 +91,13 @@ std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
   return w.take();
 }
 
+/// write(2) on a link without SIGPIPE: a peer that reset the link (a dark
+/// node closing with unread bytes) makes this fail with EPIPE, and the
+/// caller drops the link, instead of killing the process.
+ssize_t send_some(int fd, const std::uint8_t* data, std::size_t len) {
+  return ::send(fd, data, len, MSG_NOSIGNAL);
+}
+
 /// Full write on a non-blocking fd with a short bounded poll budget (hellos
 /// are <= 48 bytes, so a stall means the peer is gone or wedged). Returns
 /// false if it could not complete — the caller drops the connection.
@@ -94,7 +105,7 @@ bool write_fully(int fd, std::span<const std::uint8_t> data) {
   std::size_t off = 0;
   int stalls = 0;
   while (off < data.size()) {
-    const ssize_t k = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t k = send_some(fd, data.data() + off, data.size() - off);
     if (k > 0) {
       off += static_cast<std::size_t>(k);
       continue;
@@ -139,7 +150,7 @@ class TcpCluster::Node final : public SocketNode {
         recovery_(opts_.recovery) {
     peers_.resize(opts_.n);
     for (NodeId j = 0; j < opts_.n; ++j) peers_[j].parser = FrameParser(mac(j));
-    rbuf_.resize(64 * 1024);
+    rbuf_.resize(kReadBufferBytes);
   }
 
   ~Node() override {
@@ -593,11 +604,13 @@ class TcpCluster::Node final : public SocketNode {
     return missing == 0;
   }
 
-  /// Event-driven main loop: write everything writable, then block in
-  /// poll(2) — without a timeout — until socket activity or a wakeup
-  /// signal. No sleep ticks anywhere.
+  /// Event-driven main loop: send what the last pass's deliveries
+  /// broadcast, write everything writable, then block in poll(2) — without
+  /// a timeout — until socket activity or a wakeup signal. No sleep ticks
+  /// anywhere.
   void event_loop(const std::atomic<bool>& stop) {
     while (!stop.load(std::memory_order_relaxed)) {
+      end_pass();
       if (churn_dark()) continue;
       if (recovery_) supervisor_tick();
       if (!held_.empty()) release_held(now());
@@ -670,7 +683,6 @@ class TcpCluster::Node final : public SocketNode {
         }
       }
       if (recovery_ && !accepts_.empty()) progress_accepts(false);
-      note_termination();
     }
   }
 
@@ -703,20 +715,22 @@ class TcpCluster::Node final : public SocketNode {
     }
   }
 
+  /// One read(2) per ready peer per pass, so a peer that streams faster
+  /// than this node parses cannot hold back the node's own sends: they
+  /// leave at the top of the next pass. What a full read leaves in the
+  /// socket waits for that pass's poll, which is level-triggered.
   void read_peer(NodeId from, Peer& p) {
-    while (true) {
-      const ssize_t k = ::read(p.fd, rbuf_.data(), rbuf_.size());
-      if (k > 0) {
-        p.parser.feed({rbuf_.data(), static_cast<std::size_t>(k)});
-        pump_frames(from, p);
-        if (p.fd < 0) return;  // stream poisoned during pump
-        continue;
-      }
-      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      // EOF or hard error: peer done sending; drop the link.
-      close_link(from, p);
+    const ssize_t k = ::read(p.fd, rbuf_.data(), rbuf_.size());
+    if (k > 0) {
+      p.parser.feed({rbuf_.data(), static_cast<std::size_t>(k)});
+      pump_frames(from, p);
       return;
     }
+    if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      return;
+    }
+    // EOF or hard error: peer done sending; drop the link.
+    close_link(from, p);
   }
 
   void pump_frames(NodeId from, Peer& p) {
@@ -745,8 +759,8 @@ class TcpCluster::Node final : public SocketNode {
   /// is full.
   void flush_peer(NodeId j, Peer& p) {
     while (p.pending()) {
-      const ssize_t k = ::write(p.fd, p.out.data() + p.out_pos,
-                                p.out.size() - p.out_pos);
+      const ssize_t k = send_some(p.fd, p.out.data() + p.out_pos,
+                                  p.out.size() - p.out_pos);
       if (k > 0) {
         p.out_pos += static_cast<std::size_t>(k);
         continue;

@@ -508,6 +508,7 @@ class UdpMesh::Node final : public SocketNode {
     // Every socket was bound before any thread started: no bring-up.
     start_protocol();
     while (!stop.load(std::memory_order_relaxed)) {
+      end_pass();
       if (churn_dark()) continue;
       const SimTime t = now();
       send_step(t);

@@ -40,6 +40,12 @@
 ///     data, leaving the rest for acks, so a stalled receiver drops
 ///     nothing. One datagram may always be in flight; frames beyond the
 ///     window wait in the queue and are packed together when acks open it.
+///   * A loop step reads the socket until EAGAIN and delivers all of it
+///     before its sends (TCP, by contrast, reads one buffer per peer per
+///     pass). The window already bounds that: the fresh data a step can
+///     find is about SO_RCVBUF / 4 bytes (half the buffer's charge, at
+///     about twice a datagram's length), so a streaming peer cannot hold
+///     back the node's own sends for long.
 ///   * Accounting happens at the logical send, mirroring the simulator's
 ///     framed_size accounting: retransmissions, acks, and the datagram
 ///     headers are transport overhead and excluded — which is what makes

@@ -115,6 +115,23 @@ TEST(Samplers, LogGammaIsHeavyTailedAndPositive) {
   EXPECT_NEAR(d.mean(), std::pow(0.5, -2.0), 1e-12);  // (1-θ)^-k
 }
 
+TEST(Samplers, LogGammaCdfIsGammaCdfOfTheLog) {
+  // Shape 1 makes the base an exponential of mean theta, so
+  // P(exp(G) <= x) = 1 - x^(-1/theta): a Pareto tail of index 1/theta.
+  const LogGamma d(1.0, 0.5);
+  EXPECT_EQ(d.cdf(0.5), 0.0);
+  EXPECT_EQ(d.cdf(1.0), 0.0);
+  for (double x : {1.5, 2.0, 10.0, 1e3}) {
+    EXPECT_NEAR(d.cdf(x), 1.0 - std::pow(x, -2.0), 1e-12) << x;
+  }
+  // Another shape: its samples fit its own CDF.
+  const LogGamma heavy(2.0, 0.5);
+  Rng rng(0x5EED);
+  std::vector<double> xs(50'000);
+  for (auto& x : xs) x = heavy.sample(rng);
+  EXPECT_LT(ks_statistic(xs, heavy), 1.7 / std::sqrt(50'000.0));
+}
+
 TEST(Samplers, ParetoInfiniteMeanBelowOne) {
   Pareto d(0.9, 1.0);
   EXPECT_TRUE(std::isinf(d.mean()));

@@ -4,14 +4,16 @@
 /// byte for byte), FrameParser buffer reuse across the lazy-compaction
 /// boundary and under many-small-frames bursts, authenticated-link tamper
 /// rejection, the nodelay knob, send-path backpressure (a sender that fills the socket buffer until
-/// write(2) returns EAGAIN must still deliver every frame in order), and
+/// write(2) returns EAGAIN must still deliver every frame in order),
 /// netem holdback order (a frame due at send time must not overtake due
-/// frames the shim still holds).
+/// frames the shim still holds), broadcast coalescing (one frame per
+/// channel per loop pass) and the one-read-per-peer pass budget.
 
 #include <gtest/gtest.h>
 
 #include <poll.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "scenario/spec.hpp"
 #include "transport/frame.hpp"
 #include "transport/tcp.hpp"
+#include "tests/coalesce_util.hpp"
 
 namespace delphi::transport {
 namespace {
@@ -412,6 +415,81 @@ TEST(TcpNetem, FrameDueAtSendQueuesBehindDueHeldFrames) {
   ASSERT_TRUE(cluster.wait());
   const auto& rx = dynamic_cast<const HoldbackProbe&>(cluster.protocol(1));
   EXPECT_EQ(rx.arrivals(), (std::vector<std::uint8_t>{1, 2}));
+}
+
+// ------------------------------------------------- broadcast coalescing
+
+TEST(TcpCoalesce, HeldBroadcastsLeaveAsOneFrame) {
+  test::expect_held_broadcasts_leave_as_one_frame<TcpCluster>();
+}
+
+/// Frames node 1 streams at node 0, and their payload size.
+constexpr std::size_t kStreamFrames = 20'000;
+constexpr std::size_t kStreamPayload = 64;
+
+/// Node 1 sends kStreamFrames Markers to node 0 in on_start. Node 0 stalls
+/// in its first delivery, so the stream piles up in its socket, and then
+/// broadcasts one IdList per Marker; node 1 records the most ids one merged
+/// frame carries.
+class StreamEcho final : public net::Protocol {
+ public:
+  explicit StreamEcho(bool streamer) : streamer_(streamer) {}
+
+  void on_start(net::Context& ctx) override {
+    if (!streamer_) return;
+    for (std::size_t k = 0; k < kStreamFrames; ++k) {
+      ctx.send(0, test::kMarkerChannel,
+               std::make_shared<test::Marker>(std::vector<std::uint8_t>(
+                   kStreamPayload, static_cast<std::uint8_t>(k))));
+    }
+  }
+  void on_message(net::Context& ctx, NodeId from, std::uint32_t,
+                  const net::MessageBody& body) override {
+    if (from == ctx.self()) return;
+    if (streamer_) {
+      const auto& ids = dynamic_cast<const test::IdList&>(body).ids();
+      max_parts_ = std::max(max_parts_, ids.size());
+      received_ += ids.size();
+      return;
+    }
+    if (received_++ == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    ctx.broadcast(test::kIdChannel,
+                  std::make_shared<test::IdList>(std::vector<std::uint32_t>{
+                      static_cast<std::uint32_t>(received_)}));
+  }
+  bool terminated() const override { return received_ >= kStreamFrames; }
+
+  std::size_t received() const { return received_; }
+  std::size_t max_parts() const { return max_parts_; }
+
+ private:
+  bool streamer_;
+  std::size_t received_ = 0;
+  std::size_t max_parts_ = 0;
+};
+
+TEST(TcpReadBudget, StreamingPeerCannotHoldBackHeldBroadcasts) {
+  // A pass reads at most one 64 KiB buffer from a peer, so the broadcasts
+  // one pass holds answer at most that many frames (+1 for a frame split
+  // across two reads). Reading until EAGAIN would merge thousands.
+  TcpCluster::Options opts;
+  opts.n = 2;
+  opts.timeout_ms = 60'000;  // room for sanitizer builds
+  TcpCluster cluster(opts);
+  cluster.start(
+      [](NodeId i) { return std::make_unique<StreamEcho>(i == 1); },
+      test::decode_id_or_marker);
+  ASSERT_TRUE(cluster.wait());
+  ASSERT_TRUE(cluster.failures().empty());
+  const std::size_t frame =
+      net::framed_size(kStreamPayload, test::kMarkerChannel, true);
+  const auto& echo = dynamic_cast<const StreamEcho&>(cluster.protocol(0));
+  const auto& streamer = dynamic_cast<const StreamEcho&>(cluster.protocol(1));
+  EXPECT_EQ(echo.received(), kStreamFrames);
+  EXPECT_EQ(streamer.received(), kStreamFrames);
+  EXPECT_LE(streamer.max_parts(), 64 * 1024 / frame + 1);
 }
 
 // ------------------------------------------------------- wakeup primitive

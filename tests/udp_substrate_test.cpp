@@ -10,7 +10,9 @@
 ///     pins that duplicates never reach the protocol);
 ///   * the receive-buffer window: three peers streaming at a receiver that
 ///     stalls lose no datagram to its socket buffer, so nothing waits out
-///     the retransmission timeout.
+///     the retransmission timeout;
+///   * broadcast coalescing: one loop pass's held broadcasts on a channel
+///     reach a peer as one frame.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include "scenario/runtime.hpp"
 #include "scenario/spec.hpp"
 #include "transport/udp.hpp"
+#include "tests/coalesce_util.hpp"
 
 namespace delphi::transport {
 namespace {
@@ -244,6 +247,12 @@ TEST(UdpBackpressure, StalledReceiverLosesNoDatagram) {
   }
   EXPECT_EQ(catchup, 0u);
   EXPECT_LT(elapsed_ms, 1'500);
+}
+
+// ------------------------------------------------- broadcast coalescing
+
+TEST(UdpCoalesce, HeldBroadcastsLeaveAsOneFrame) {
+  test::expect_held_broadcasts_leave_as_one_frame<UdpMesh>();
 }
 
 }  // namespace
